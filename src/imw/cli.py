@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 = all requested checks pass, 1 = a property verdict is false
-(the witness is printed), 2 = input or validation error. The IMW_BUDGET
-environment variable overrides the default search budget; --budget beats both.
+(the witness is printed), 2 = input or validation error. Being inverse is a
+verdict for ``check``, which exits 1 with a witness on a non-inverse table,
+but a precondition for ``extension`` and ``decompose``, which exit 2 on one.
+The IMW_BUDGET environment variable overrides the default search budget;
+--budget beats both.
 """
 
 from __future__ import annotations
@@ -24,15 +27,8 @@ from .constructions import (
 from .corpus import DEFAULT_BUDGET, builtin_corpus, enumerate_almost_actions, \
     enumerate_gluing_maps, enumerate_inverse_monoids, enumerate_semilattices, \
     small_groups
-from .errors import (
-    EmptyCandidateFiber,
-    ImwError,
-    KernelMismatch,
-    MtabSyntaxError,
-    PreconditionFailed,
-    ValidationError,
-)
-from .extension import build_canonical_extension, is_weakly_schreier
+from .errors import ImwError, KernelMismatch, PreconditionFailed, ValidationError
+from .extension import weakly_schreier_iff_f_inverse
 from .inverse import is_clifford, validate_inverse, validate_semilattice
 from .iso import DEFAULT_ISO_LIMIT, brute_force_iso
 from .mtab import (
@@ -64,17 +60,18 @@ def _resolve_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("IMW_BUDGET")
-    if env is not None:
+    if env is None:
+        return args.default_budget
+    try:
         return int(env)
-    return args.default_budget
+    except ValueError:
+        raise ValidationError(f"IMW_BUDGET must be an integer, got {env!r}") from None
 
 
 def _named_structures():
     names = {}
     for inst in builtin_corpus():
-        if inst.kind in ("group", "monoid"):
-            names[inst.name] = inst.payload
-        elif inst.kind == "semilattice":
+        if inst.kind in ("group", "monoid", "semilattice"):
             names[inst.name] = inst.payload
     for g, label in zip(small_groups(), ["z1", "z2", "z3", "z4", "z5", "z6",
                                          "klein", "s3"]):
@@ -96,26 +93,27 @@ def cmd_extension(args) -> int:
     payload = {"schema": SCHEMA_VERSION, "instance": name}
     code = EXIT_OK
     try:
-        ext = build_canonical_extension(inv)
-        payload["extension"] = {
-            "kernel": list(ext.k.values),
-            "quotient": monoid_to_json(ext.h_part),
-            "projection": list(ext.q.values),
-        }
-        try:
-            ws = is_weakly_schreier(ext)
-            payload["weakly_schreier"] = True
-            payload["splitting"] = list(ws.s.values)
-        except EmptyCandidateFiber as exc:
-            payload["weakly_schreier"] = False
-            payload["witness"] = {"kind": "empty_fiber", "sigma_class": exc.h,
-                                  "fiber": sorted(exc.fiber)}
-            code = EXIT_PROPERTY_FALSE
+        wsf = weakly_schreier_iff_f_inverse(inv)
     except KernelMismatch as exc:
         payload["extension"] = None
         payload["weakly_schreier"] = False
         payload["witness"] = {"kind": "kernel_mismatch", "element": exc.witness}
         code = EXIT_PROPERTY_FALSE
+    else:
+        ext = wsf.extension
+        payload["extension"] = {
+            "kernel": list(ext.k.values),
+            "quotient": monoid_to_json(ext.h_part),
+            "projection": list(ext.q.values),
+        }
+        payload["weakly_schreier"] = wsf.holds
+        if wsf.holds:
+            payload["splitting"] = list(wsf.splitting.s.values)
+        else:
+            h, fiber = wsf.fiber_witness
+            payload["witness"] = {"kind": "empty_fiber", "sigma_class": h,
+                                  "fiber": sorted(fiber)}
+            code = EXIT_PROPERTY_FALSE
     if args.json:
         sys.stdout.write(to_canonical_json(payload))
     else:
@@ -151,9 +149,9 @@ def cmd_decompose(args) -> int:
                "reason": str(exc)}
         sys.stdout.write(to_canonical_json(msg) if args.json else f"{exc}\n")
         return EXIT_PROPERTY_FALSE
-    ext = build_canonical_extension(inv)
-    ws = is_weakly_schreier(ext)
-    fs = factor_system_from_extension(ext, ws, iso_limit=max(args.max_iso_n, m.n))
+    wsf = weakly_schreier_iff_f_inverse(inv)
+    fs = factor_system_from_extension(wsf.extension, wsf.splitting,
+                                      iso_limit=max(args.max_iso_n, m.n))
     payload = {
         "schema": SCHEMA_VERSION,
         "instance": name,
@@ -267,9 +265,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    budget = args.budget if args.budget is not None else \
-        int(os.environ.get("IMW_BUDGET", SUITE_BUDGET))
-    result = run_suite(budget=budget, iso_limit=args.max_iso_n)
+    result = run_suite(budget=_resolve_budget(args), iso_limit=args.max_iso_n)
     sys.stdout.write(format_suite(result, "json" if args.json else "human"))
     return EXIT_OK if result.all_passed else EXIT_PROPERTY_FALSE
 
@@ -340,14 +336,11 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MtabSyntaxError, ValidationError, ImwError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: invalid JSON input: {exc}\n")
+        return EXIT_USAGE
+    except (ImwError, OSError, UnicodeError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteMonoid, is_group, quotient, validate_monoid
+from .core import FiniteMonoid, first_occurrence_classes, is_group, quotient, validate_monoid
 from .errors import (
     AxiomViolation,
     ConditionViolation,
@@ -25,18 +25,12 @@ from .errors import (
     NoChiWitness,
     PreconditionFailed,
 )
-from .extension import (
-    Extension,
-    WSSplitting,
-    build_canonical_extension,
-    is_weakly_schreier,
-)
+from .extension import Extension, WSSplitting, weakly_schreier_iff_f_inverse
 from .inverse import (
     InverseMonoid,
     SemilatticeMonoid,
     idempotent_semilattice,
     is_clifford,
-    is_f_inverse,
     validate_inverse,
 )
 from .iso import IsoWitness, brute_force_iso, verify_iso
@@ -154,21 +148,11 @@ def f_product(aa: AlmostAction) -> PairMonoid:
 # --- factor systems and crossed products --------------------------------------
 
 
-def _canonical_classes(keys: list[int]) -> tuple[int, ...]:
-    renum: dict[int, int] = {}
-    out = []
-    for k in keys:
-        if k not in renum:
-            renum[k] = len(renum)
-        out.append(renum[k])
-    return tuple(out)
-
-
 def validate_factor_system(h_part: FiniteMonoid, n_part: FiniteMonoid,
                            sim, act, chi) -> FactorSystem:
     """Exhaustively verify the eleven compatibility conditions."""
     hn, nn = h_part.n, n_part.n
-    sim_t = tuple(_canonical_classes([int(c) for c in row]) for row in sim)
+    sim_t = tuple(first_occurrence_classes([int(c) for c in row]) for row in sim)
     act_t = tuple(tuple(int(v) for v in row) for row in act)
     chi_t = tuple(tuple(int(v) for v in row) for row in chi)
     if len(sim_t) != hn or any(len(r) != nn for r in sim_t):
@@ -388,12 +372,12 @@ def gluing(gm: GluingMap) -> PairMonoid:
     monoid = validate_inverse(validate_monoid(len(pairs), table, ident, labels))
     if not is_clifford(monoid).holds:
         raise InternalCharacterizationFailure("gluing produced a non-Clifford monoid")
-    fres = is_f_inverse(monoid)
-    if not fres.holds:
+    wsf = weakly_schreier_iff_f_inverse(monoid)
+    if not wsf.holds:
         raise InternalCharacterizationFailure("gluing produced a non-F-inverse monoid")
-    ws = is_weakly_schreier(build_canonical_extension(monoid))
+    # The report already demands that the section equals the selector.
     expected = tuple(pos[(gm.f[g], g)] for g in range(g_mon.n))
-    if ws.s.values != expected or fres.selector != expected:
+    if wsf.splitting.s.values != expected:
         raise InternalCharacterizationFailure(
             "canonical section of the gluing is not g -> (f(g), g)")
     return PairMonoid(monoid=monoid, pairs=tuple(pairs))
@@ -404,13 +388,11 @@ def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
     cres = is_clifford(m)
     if not cres.holds:
         raise PreconditionFailed("monoid must be Clifford", cres.witness)
-    fres = is_f_inverse(m)
+    fres = m.f_inverse
     if not fres.holds:
         raise PreconditionFailed("monoid must be F-inverse",
                                  (fres.witness_class, fres.witness_maximals))
-    assert fres.selector is not None
-    sigma = fres.sigma
-    h, _ = quotient(m.base, sigma)
+    h, _ = quotient(m.base, m.sigma)
     semi, emb = idempotent_semilattice(m)
     pos = {e: i for i, e in enumerate(emb.values)}
     sel = fres.selector
@@ -429,9 +411,7 @@ def clifford_reconstruction(m: InverseMonoid) -> IsoWitness:
     """Certify M against the gluing rebuilt from its own section data."""
     gm = gluing_map_from_clifford(m)
     gl = gluing(gm)
-    fres = is_f_inverse(m)
-    assert fres.selector is not None
-    sigma, sel = fres.sigma, fres.selector
+    sigma, sel = m.sigma, m.f_inverse.selector
     _, emb = idempotent_semilattice(m)
     pos = {e: i for i, e in enumerate(emb.values)}
     forward = [gl.index[(pos[m.mul(x, m.inv[x])], sigma.class_of[x])]
@@ -451,13 +431,12 @@ def almost_action_from_f_inverse(m: InverseMonoid,
     The conjugation formula is a choice, so the axioms and the isomorphism
     F(Y,G) ≅ M are both re-certified; a failure is raised, never ignored.
     """
-    fres = is_f_inverse(m)
+    fres = m.f_inverse
     if not fres.holds:
         raise PreconditionFailed("monoid must be F-inverse",
                                  (fres.witness_class, fres.witness_maximals))
-    assert fres.selector is not None
     sel = fres.selector
-    h, _ = quotient(m.base, fres.sigma)
+    h, _ = quotient(m.base, m.sigma)
     semi, emb = idempotent_semilattice(m)
     pos = {e: i for i, e in enumerate(emb.values)}
     dot = []

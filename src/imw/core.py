@@ -135,21 +135,18 @@ def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,
     return MonoidMap(source=source, target=target, values=vals, kind=kind)
 
 
-def identity_map(m: FiniteMonoid) -> MonoidMap:
-    return MonoidMap(source=m, target=m, values=tuple(range(m.n)))
+def first_occurrence_classes(keys: Sequence[int]) -> tuple[int, ...]:
+    """Renumber class keys 0, 1, ... in order of first occurrence."""
+    renum: dict[int, int] = {}
+    return tuple(renum.setdefault(k, len(renum)) for k in keys)
 
 
 def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
     """Canonicalize a class vector and verify compatibility with the table."""
     if len(class_of) != m.n:
         raise IndexOutOfRange("class vector length", len(class_of), m.n + 1)
-    renum: dict[int, int] = {}
-    canon = []
-    for c in class_of:
-        if c not in renum:
-            renum[c] = len(renum)
-        canon.append(renum[c])
-    k = len(renum)
+    canon = first_occurrence_classes(class_of)
+    k = max(canon) + 1
     # Compatibility is equivalent to the product class being a function of
     # the factor classes.
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -162,7 +159,7 @@ def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
                 seen[key] = (c, x, y)
             elif prev[0] != c:
                 raise NotACongruence(((prev[1], prev[2]), (x, y)))
-    return Congruence(monoid=m, class_of=tuple(canon), num_classes=k)
+    return Congruence(monoid=m, class_of=canon, num_classes=k)
 
 
 def identity_congruence(m: FiniteMonoid) -> Congruence:

@@ -19,13 +19,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .inverse import (
-    FInverseResult,
-    InverseMonoid,
-    idempotent_semilattice,
-    is_f_inverse,
-    min_group_congruence,
-)
+from .inverse import FInverseResult, InverseMonoid, idempotent_semilattice
 
 
 @dataclass(frozen=True)
@@ -54,6 +48,7 @@ class Cosplitting:
 @dataclass(frozen=True)
 class WSFInverseReport:
     f_inverse: FInverseResult
+    extension: Extension
     splitting: WSSplitting | None
     fiber_witness: tuple[int, tuple[int, ...]] | None
     holds: bool  # the shared verdict of the two independent routes
@@ -77,8 +72,7 @@ def make_extension(n_part: FiniteMonoid, g_part: FiniteMonoid, h_part: FiniteMon
 def build_canonical_extension(m: InverseMonoid) -> Extension:
     """E(M) -> M -> M/sigma; raises KernelMismatch exactly when M is not E-unitary."""
     semi, emb = idempotent_semilattice(m)
-    sigma = min_group_congruence(m)
-    h, qmap = quotient(m.base, sigma)
+    h, qmap = quotient(m.base, m.sigma)
     return make_extension(semi.base, m.base, h, emb, qmap)
 
 
@@ -116,11 +110,13 @@ def is_weakly_schreier(ext: Extension) -> WSSplitting:
 def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
     """Run the order route and the fiber route independently and demand agreement.
 
-    When both succeed the section must pick exactly the greatest element of
-    each fiber.
+    This is the one place the weakly Schreier verdict of a canonical extension
+    is decided. When both routes succeed the section must pick exactly the
+    greatest element of each fiber. Raises KernelMismatch when M is not
+    E-unitary, since then there is no extension to split.
     """
     ext = build_canonical_extension(m)
-    fres = is_f_inverse(m)
+    fres = m.f_inverse
     splitting = None
     fiber_witness = None
     try:
@@ -137,7 +133,7 @@ def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
             raise TheoremViolation(
                 f"section {splitting.s.values} differs from greatest-element "
                 f"selector {fres.selector}")
-    return WSFInverseReport(f_inverse=fres, splitting=splitting,
+    return WSFInverseReport(f_inverse=fres, extension=ext, splitting=splitting,
                             fiber_witness=fiber_witness, holds=ws)
 
 

@@ -8,6 +8,7 @@ Clifford predicates with explicit counterexample witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .core import (
     Congruence,
@@ -49,6 +50,14 @@ class InverseMonoid:
 
     def label(self, x: int) -> str:
         return self.base.label(x)
+
+    @cached_property
+    def sigma(self) -> Congruence:
+        return min_group_congruence(self)
+
+    @cached_property
+    def f_inverse(self) -> FInverseResult:
+        return is_f_inverse(self)
 
 
 @dataclass(frozen=True)
@@ -178,23 +187,14 @@ def natural_order(m: InverseMonoid) -> NaturalOrder:
 
 
 def min_group_congruence(m: InverseMonoid) -> Congruence:
-    """a ~ b iff e*a = e*b for some idempotent e; quotient is the greatest group image."""
-    idem = m.base.idempotents()
-    parent = list(range(m.n))
+    """a ~ b iff e*a = e*b for some idempotent e; quotient is the greatest group image.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(m.n):
-        for b in range(a + 1, m.n):
-            if any(m.mul(e, a) == m.mul(e, b) for e in idem):
-                parent[find(a)] = find(b)
-    class_of = [find(x) for x in range(m.n)]
+    The product e0 of all idempotents is the least one, and e*a = e*b forces
+    e0*a = e0*b, so the class of x is determined by e0*x.
+    """
+    e0 = reduce(m.mul, m.base.idempotents(), m.id)
     try:
-        sigma = make_congruence(m.base, class_of)
+        sigma = make_congruence(m.base, [m.mul(e0, x) for x in range(m.n)])
     except NotACongruence as exc:
         raise InternalCharacterizationFailure(
             f"sigma relation is not a congruence: {exc}") from exc
@@ -223,7 +223,7 @@ def is_f_inverse(m: InverseMonoid) -> FInverseResult:
     For a finite class this is the same as having a unique maximal element;
     on failure the offending class and its incomparable maximals are returned.
     """
-    sigma = min_group_congruence(m)
+    sigma = m.sigma
     order = natural_order(m)
     selector = []
     for c, members in enumerate(sigma.classes()):

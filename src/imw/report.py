@@ -7,21 +7,9 @@ import json
 from dataclasses import dataclass
 
 from .core import FiniteMonoid
-from .errors import (
-    EmptyCandidateFiber,
-    NoInverse,
-    NonUniqueInverse,
-    TheoremViolation,
-)
-from .extension import build_canonical_extension, is_weakly_schreier
-from .inverse import (
-    is_clifford,
-    is_e_unitary,
-    is_f_inverse,
-    min_group_congruence,
-    natural_order,
-    validate_inverse,
-)
+from .errors import NoInverse, NonUniqueInverse, TheoremViolation
+from .extension import weakly_schreier_iff_f_inverse
+from .inverse import is_clifford, is_e_unitary, natural_order, validate_inverse
 from .mtab import SCHEMA_VERSION
 
 VERDICT_NAMES = ("inverse", "e_unitary", "f_inverse", "clifford", "weakly_schreier")
@@ -61,9 +49,9 @@ class AnalysisReport:
 def analyze(m: FiniteMonoid, name: str = "monoid") -> AnalysisReport:
     """Decide every predicate of the hierarchy, collecting witnesses.
 
-    The weakly-Schreier verdict is computed by the independent fiber search
-    and must agree with the F-inverse verdict; a mismatch is a bug, not a
-    property of the input.
+    The weakly-Schreier verdict comes from weakly_schreier_iff_f_inverse,
+    which demands that the fiber search and the F-inverse verdict agree; a
+    mismatch is a bug, not a property of the input.
     """
     verdicts: dict = {k: None for k in VERDICT_NAMES}
     witnesses: dict = {k: None for k in VERDICT_NAMES}
@@ -86,7 +74,7 @@ def analyze(m: FiniteMonoid, name: str = "monoid") -> AnalysisReport:
     if not eu.holds:
         witnesses["e_unitary"] = {"element": eu.witness[0], "idempotent": eu.witness[1]}
 
-    fr = is_f_inverse(inv)
+    fr = inv.f_inverse
     verdicts["f_inverse"] = fr.holds
     if not fr.holds:
         witnesses["f_inverse"] = {"sigma_class": fr.witness_class,
@@ -98,34 +86,28 @@ def analyze(m: FiniteMonoid, name: str = "monoid") -> AnalysisReport:
         witnesses["clifford"] = {"idempotent": cl.witness[0], "element": cl.witness[1]}
 
     if eu.holds:
-        try:
-            is_weakly_schreier(build_canonical_extension(inv))
-            verdicts["weakly_schreier"] = True
-        except EmptyCandidateFiber as exc:
-            verdicts["weakly_schreier"] = False
+        wsf = weakly_schreier_iff_f_inverse(inv)
+        verdicts["weakly_schreier"] = wsf.holds
+        if not wsf.holds:
+            h, fiber = wsf.fiber_witness
             witnesses["weakly_schreier"] = {"kind": "empty_fiber",
-                                            "sigma_class": exc.h,
-                                            "fiber": sorted(exc.fiber)}
+                                            "sigma_class": h,
+                                            "fiber": sorted(fiber)}
     else:
+        if fr.holds:
+            raise TheoremViolation(f"{name}: F-inverse without being E-unitary")
         verdicts["weakly_schreier"] = False
         witnesses["weakly_schreier"] = {"kind": "not_e_unitary",
                                         "element": eu.witness[0]}
 
-    if fr.holds and not eu.holds:
-        raise TheoremViolation(f"{name}: F-inverse without being E-unitary")
-    if verdicts["weakly_schreier"] != fr.holds:
-        raise TheoremViolation(f"{name}: weakly-Schreier and F-inverse disagree")
-
-    sigma = min_group_congruence(inv)
-    order = natural_order(inv)
     return AnalysisReport(
         name=name,
         monoid=m,
         verdicts=verdicts,
         witnesses=witnesses,
-        sigma_classes=[list(c) for c in sigma.classes()],
+        sigma_classes=[list(c) for c in fr.sigma.classes()],
         idempotents=m.idempotents(),
-        natural_order_pairs=[list(p) for p in order.pairs()],
+        natural_order_pairs=[list(p) for p in natural_order(inv).pairs()],
         max_selector=list(fr.selector) if fr.selector is not None else None,
     )
 

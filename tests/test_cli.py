@@ -177,3 +177,32 @@ def test_exit_code_contract_over_builtin_corpus(tmp_path):
         expected = 0 if analyze(m, inst.name).all_pass else 1
         r = run_cli("check", str(p))
         assert r.returncode == expected, inst.name
+
+
+def test_budget_env_not_an_integer():
+    r = run_cli("enumerate", "--kind", "almost-action",
+                "--group", "z2", "--semilattice", "ch2", env={"IMW_BUDGET": "abc"})
+    assert r.returncode == 2
+    assert "IMW_BUDGET" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_suite_budget_env_not_an_integer(monkeypatch, capsys):
+    import imw.cli
+
+    def no_run(**kwargs):
+        raise AssertionError("the suite ran despite an invalid budget")
+
+    monkeypatch.setattr(imw.cli, "run_suite", no_run)
+    monkeypatch.setenv("IMW_BUDGET", "abc")
+    assert imw.cli.cli_main(["suite"]) == 2
+    assert "IMW_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check"], ["construct", "gluing"]])
+def test_unreadable_input_is_a_usage_error(command, tmp_path):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("mtab v1\n# café\n".encode("latin-1"))
+    for path in (tmp_path, latin1):  # a directory, then a file that is not UTF-8
+        r = run_cli(*command, str(path))
+        assert r.returncode == 2, path
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr

@@ -1,0 +1,185 @@
+"""Byte-identity guard: report and ``extension`` output pinned by SHA-256.
+
+The digests were recorded before σ moved to the least-idempotent route and
+before the weakly Schreier verdict was given a single code path; any change
+to the bytes of ``check --json`` (via ``emit_report``) or of
+``extension --json`` (stdout and exit code) shows up here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from imw.cli import cli_main
+from imw.core import direct_product, validate_monoid
+from imw.corpus import (
+    brandt_b2_1,
+    builtin_corpus,
+    cyclic_group,
+    enumerate_inverse_monoids,
+    m3,
+    m7,
+)
+from imw.mtab import serialize_mtab
+from imw.report import analyze, emit_report
+
+
+def digest_inputs():
+    """(name, FiniteMonoid) for every table whose output is pinned."""
+    out = []
+    for inst in builtin_corpus():
+        if inst.kind in ("monoid", "group"):
+            out.append((inst.name, inst.payload))
+        elif inst.kind == "semilattice":
+            out.append((inst.name, inst.payload.base))
+    for i, m in enumerate(enumerate_inverse_monoids(4)):
+        out.append((f"enum{m.n}-{i}", m.base))
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    out.append(("m7xm3xz2", direct_product(direct_product(m7(), m3()), z2)))
+    out.append(("b2-1xz3", direct_product(brandt_b2_1(), z3)))
+    out.append(("b2-1xm3xz3", direct_product(direct_product(brandt_b2_1(), m3()), z3)))
+    # Non-inverse tables: no generalized inverse, and a non-unique one.
+    out.append(("no-inverse", validate_monoid(3, [[0, 1, 2], [1, 1, 1], [2, 1, 1]], 0)))
+    out.append(("left-zero", validate_monoid(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)))
+    return out
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def output_digests(name, m, directory) -> tuple[str, str]:
+    """Digest of the JSON report, and of ``extension --json`` exit code plus stdout."""
+    report = _sha(emit_report(analyze(m, name), "json"))
+    path = directory / f"{name}.mtab"
+    path.write_text(serialize_mtab(m), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["extension", "--json", str(path)])
+    return report, _sha(f"{code}\n{out.getvalue()}")
+
+
+EXPECTED = {
+    "t1": (
+        "23baa00694c42e3f684ffb189f604f003b9bff21f6e4da7e208da69f355d5c6e",
+        "8165ef20b346e4aca78b16c6d8b9c8314d70a0ce7d0bb5c75da5158de9e17a71"),
+    "z2": (
+        "5488772a264f7b2232ce7f9e1e1376b08fbdb71d8a693ea7f19c6d3acbcedba9",
+        "fcf5f1da83978f527b497828fca949dfc59fc9de0470582dc95df66d75f7a9da"),
+    "z3": (
+        "063f0a1026684864d715459ae35770fdd4d5de1713b94bbba64cabc38aded3f3",
+        "d6edfde62dbfbfc9ae1cb3d4fd1c6bfb5c723b98f666078dd94d8ffdc09af9e0"),
+    "z4": (
+        "78d6dfb3fbf28fc40b7654edb763da591dbcc11478f00ceab3752fe0db1eacb3",
+        "c6abd38f6bd665a3d6ce3ce451b1c2fdec97114fab5abe9a09fe36922f8b32ef"),
+    "klein": (
+        "14347e1cbfeba53da473e4628976e4c11e0b925ae92d8e5e22c0567cf0f30d4e",
+        "545263072d0908f106ab899d2ece39959f6348ac3dab5bfc76347ad34563c2af"),
+    "s3": (
+        "d079e305365cedaf2581a8c14b5676b81ae51831bf738e79b13d0c82c62b8263",
+        "2e86e89499b2cc766c528d0cd39f1624ccb6cf9d13f3b4109e8961e95d2d0081"),
+    "ch2": (
+        "e24b6ddcf7d09451e08944dff890a30c38b8fb62ec7d12f795efd7c65e76b89c",
+        "1e54ef64755670c45d81a36c368715b00702c555d11f3790c07fc0cbed8e0611"),
+    "ch3": (
+        "317126a29a893e627c4563c8731211914c90c0ba850581fa2b1562a8b6e8b22d",
+        "7b80ebc979aec67e50bc0a5c8a083c3ca59600beed37cfb4e265c9e6ce4909a1"),
+    "ch4": (
+        "9f525241ffde8a1a1becd003c3ac5109f49d006390cc174ef0382a8a28668782",
+        "959d3d601e2ff1429529d66dd858a838587b2aff1044a0f2f1d69ab4b43eeabe"),
+    "d4": (
+        "4b9458bf7546285659b45d35f4438175703faa62040d1fec0ddcc4ce6bd066ba",
+        "815a681049a594ccfa4d917d9cd6c69f5b8fb7e52fecc375a303445f188e63b9"),
+    "m3": (
+        "93f28e240db0f01c0d8cd5dabb5e9e46cd4dac46d6b090d5d7f37647b221acd8",
+        "257e4eb3ddc0aae5d6b9c848b8ab588dd666d73f803a15805c6958e0fac68c96"),
+    "b2-1": (
+        "7004d6e4cf5d0e5347d9364de45952cab0a07e83855459f1ca53075a7248b763",
+        "f4c1049038c42c617348ffd1b0131ac65f1e5a25d428b9fc05ed890c081fa5f5"),
+    "m7": (
+        "3e5fd844620ed6959b71a15e47cb207483ccd08d699f8658002fca24ca4a18d6",
+        "ef71a390836165ddcd987a35a9605ed7e88d39738bd2320aa948d4fe69d16047"),
+    "enum1-0": (
+        "d8ae4cb45795640c81281b47147eb2702e7634551ed6b6c54872e007b4b9f1fa",
+        "4a07af8a55293b8ed8ff199246418e2c367a9f2846eed30c1d5731a39ac4b16d"),
+    "enum2-1": (
+        "3999290bcfed55846e05d09558ed4fc67dbb9964cca04f73e1b61b5130b80053",
+        "20d928ea4e7dbec27ea1d3d9de549d68150ad2d99ce3cb930e3f7479fe434888"),
+    "enum2-2": (
+        "8edce6827a9b1034a9672bdfd5c10d6c3932e2a1dcd45a87cd4054d36c1c22eb",
+        "af8e9a4d2694f1881e3c7debd5ff068ecf918550abdc331eedf1b56a7be3eb67"),
+    "enum3-3": (
+        "6d800284e0dd5489c4495a15daacef4591a7ef11f39efc3a2cbf25c885175d03",
+        "0bd5dc05f7990df7b387814e81e3776d35f0ca26f69da7bb56b93a0e7b591eb9"),
+    "enum3-4": (
+        "f25282aeaadf3995ae11b4a57f64b420a3d7cd9fd253f525a6fa0f0cbadb2ca1",
+        "748d6d2c88e7c64b5119b3ba7f6d61862f685d3f9201805c006ae502e37a9786"),
+    "enum3-5": (
+        "e952ca99903a3b69b92b478d2ec12125f0acf54572444e5e0ce71793b52ee6df",
+        "928204f6734c34b91ddaf4bc38df4cea54e8a1e222d4b426afd4aca2b08c547f"),
+    "enum3-6": (
+        "88dd6b0dff0915c48f3801b91e154b468fcc950c4a851653c80ba92b15408a1d",
+        "d71796bf78fa739b8d3e82c7d181ae3b62231cd68731dbbd0b87923a8583a393"),
+    "enum4-7": (
+        "1f8d8131168771734651e1571294529a1afe6051a56744ac1c0081fab8e3ae5e",
+        "6d62439618c34959747de4f8f2a4154a6185cad362d7f59cb65debaf9e9b928a"),
+    "enum4-8": (
+        "93b83ec087f0d94297ce453a7c9492341affad3ea710b464acd4f06548dcf136",
+        "63a392c4b9ec663cf31d74efa51b9b2745e59fa7ec843512afed20a181db4348"),
+    "enum4-9": (
+        "ef26fcb991356811a4c8f3155fd699e914d4fa07735a591ea4158a1323ad3283",
+        "d53fb94f8eca6e86408c135c769168934bf5368de7b7a09084d6d8dfb5b9f7ac"),
+    "enum4-10": (
+        "416d17b9bc7fdfe12f39b9be5e56b3b16fa74b1f85424f204a254164f3ba85df",
+        "8e8cafa9f87990e170ea1b3bf8b4bc5d826356717d9b9257bc77321d7ccb51ea"),
+    "enum4-11": (
+        "38bcbd6ce76ac2219381995c9e117b74c1dba3f84f7ce0beaa5048422a29b18b",
+        "b34d532b7f17326bbf1bee9a9f8e2f5caa2aa7911ccc9fa1403855d9ec3dc4bc"),
+    "enum4-12": (
+        "31f34fd85d87a732dcc2b9bcd6a1998e7e52389364e2dfb17f9927fc3516e07c",
+        "61f7d937ae7f312659dddc1235d7facc609767e6491cbf494c12a926f955278e"),
+    "enum4-13": (
+        "ac86dd602f48c3cefab276892babb65339c93c07e3407603ce4cc684e9a3a6e5",
+        "f1e4db3ddec347ccd0a446f1848d7ca1a612c11cc6764002c0df9c03c2449e16"),
+    "enum4-14": (
+        "76d0a8267461b2e0aae7e946fb5a43484faa0b22207ae8511c3e6b4e8d98e51d",
+        "67d1bad5aa614b1ba3dd0c0cf0797ecd78bddf140e5d26f8de3dd5bf43a27af3"),
+    "enum4-15": (
+        "dbea907372cb1847f364f2107b35f9ccadd4fb89d5f3a7054572446dc47af374",
+        "993275d10ccc777d1d466f39bc7e77c4cd9814831adf21f858621a2108b17155"),
+    "enum4-16": (
+        "e0ce8bacb4fa23bed9bd6af1e314bd8e9227fbb952671045861afcdca6616269",
+        "c8c5a169ff2bb1f80a65847f1100456bb60b084e011968de32752e8a16bc3a12"),
+    "enum4-17": (
+        "ee75084d538af24ca8b390c912edc993125d6b4e1ecd8a03c776f917e25f9e3d",
+        "98eb451076b366af8e0d331c85ffc331a41bb156fc6dac8c945ce7b0acc8501a"),
+    "m7xm3xz2": (
+        "3b93e83eb09d3553cb7819b9344d22f894c1766060c74bf2c32adbb7553be59c",
+        "fd5bf562eb6de3d06a942122053bf479c07c375d67d7576ac7839f05854421be"),
+    "b2-1xz3": (
+        "cb3cb87da1f1a7dfafb4afa83dbb7bd98e141fcb76668c6d5f1ed51a5ea92b30",
+        "cc4adaed33dee22e28d8daaa7b7669055af8163f6fc7281e844d91b4032d32e7"),
+    "b2-1xm3xz3": (
+        "b0c7c40a16685a3f665bb902ec38b5bc8f4f1ddff8ef39d32e80196da9affed6",
+        "655a1513a463437ae1eae1e7e125295297aa236e8daa52e21a6aa952d43efef3"),
+    "no-inverse": (
+        "b2277f9eb5a23d0dcd237b1af4f6ad7dcf099e296c1098c9468d5b505fe1e274",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    "left-zero": (
+        "20124f4d43dc8324cc3405b3a633a2a3f8c62c2df06c79d703c28c9afeba86e4",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+}
+
+
+INPUTS = dict(digest_inputs())
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_output_bytes_unchanged(name, tmp_path):
+    assert output_digests(name, INPUTS[name], tmp_path) == EXPECTED[name]
+
+
+def test_every_input_is_pinned():
+    assert sorted(EXPECTED) == sorted(INPUTS)

@@ -86,8 +86,10 @@ def test_biconditional_report(corpus_monoids):
         except KernelMismatch:
             continue  # not E-unitary, so no canonical extension
         assert report.holds == report.f_inverse.holds, name
+        assert report.extension.g_part == m.base, name
         if report.holds:
             assert report.splitting is not None
+            assert report.splitting.ext is report.extension, name
         else:
             assert report.fiber_witness is not None
 

@@ -1,6 +1,11 @@
+import sys
+from functools import reduce
+
 import pytest
 
-from imw.core import validate_monoid
+import imw.inverse
+from imw.constructions import clifford_reconstruction
+from imw.core import direct_product, make_congruence, validate_monoid
 from imw.corpus import (
     brandt_b2_1,
     chain,
@@ -22,7 +27,26 @@ from imw.inverse import (
     natural_order,
     validate_inverse,
 )
+from imw.report import analyze
 from imw.suite import sigma_by_exhaustion
+
+
+def sigma_by_union_find(m):
+    """Oracle straight from the definition: merge a, b when e*a = e*b for an idempotent e."""
+    idem = m.base.idempotents()
+    parent = list(range(m.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in range(m.n):
+        for b in range(a + 1, m.n):
+            if any(m.mul(e, a) == m.mul(e, b) for e in idem):
+                parent[find(a)] = find(b)
+    return make_congruence(m.base, [find(x) for x in range(m.n)])
 
 
 def test_group_inverse_is_group_inverse():
@@ -145,6 +169,64 @@ def test_sigma_matches_exhaustive_oracle(corpus_monoids):
         oracle, found = sigma_by_exhaustion(m)
         assert found >= 1, name
         assert min_group_congruence(m).class_of == oracle, name
+
+
+def test_sigma_matches_union_find_definition(corpus_monoids):
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    products = [
+        ("m7xm3xz2", direct_product(direct_product(m7(), m3()), z2)),
+        ("b2-1xz3", direct_product(brandt_b2_1(), z3)),
+        ("b2-1xm3xz3", direct_product(direct_product(brandt_b2_1(), m3()), z3)),
+    ]
+    cases = list(corpus_monoids)
+    cases += [(f"enum#{i}", m) for i, m in enumerate(enumerate_inverse_monoids(5))]
+    cases += [(name, validate_inverse(p)) for name, p in products]
+    assert max(m.n for _, m in cases) >= 40
+    for name, m in cases:
+        assert min_group_congruence(m) == sigma_by_union_find(m), name
+
+
+def test_least_idempotent_is_central_and_below_every_idempotent(corpus_monoids):
+    for name, m in corpus_monoids:
+        idem = m.base.idempotents()
+        e0 = reduce(m.mul, idem, m.id)
+        assert m.base.is_idempotent(e0), name
+        assert all(m.mul(e0, x) == m.mul(x, e0) for x in range(m.n)), name
+        assert all(m.mul(e0, e) == e0 for e in idem), name
+
+
+@pytest.fixture()
+def sigma_calls(monkeypatch):
+    """The monoids whose sigma is computed, one entry per computation.
+
+    Every imw module that binds min_group_congruence gets the counter, so a
+    direct call from any of them is seen as well.
+    """
+    calls = []
+    original = imw.inverse.min_group_congruence
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("imw") and \
+                getattr(module, "min_group_congruence", None) is original:
+            monkeypatch.setattr(module, "min_group_congruence", counting)
+    return calls
+
+
+def test_analyze_computes_sigma_once(sigma_calls):
+    analyze(m7(), "m7")
+    assert [m.base for m in sigma_calls] == [m7()]
+
+
+def test_clifford_reconstruction_computes_sigma_once_per_monoid(sigma_calls):
+    # The rebuilt gluing is a second monoid, with a sigma of its own.
+    m = validate_inverse(m3())
+    clifford_reconstruction(m)
+    assert sum(x is m for x in sigma_calls) == 1
+    assert len({id(x) for x in sigma_calls}) == len(sigma_calls) == 2
 
 
 def test_e_unitary():
