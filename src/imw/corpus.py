@@ -268,38 +268,48 @@ def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid
                              budget: int | None = None) -> Iterator[AlmostAction]:
     """Every action table passing the three axioms, in table order.
 
-    The identity row is forced, so the scanned space is |Y|^((|G|-1)|Y|);
-    that number is compared against the budget before any work happens.
+    The identity row is forced, so the a-priori space is |Y|^((|G|-1)|Y|);
+    the budget caps that number, which is compared against it before any
+    work happens. The search itself fills the other rows one group element
+    at a time with meet-preserving rows (axiom A2) and backtracks as soon as
+    axiom A3 fails on a pair (g, h) whose rows g, h and gh are all filled.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     y_n, g_n = semilattice.n, group.n
     space = y_n ** ((g_n - 1) * y_n)
     if space > budget:
         raise BudgetExceeded(space, budget)
-    meet = semilattice.meet
+    meet = semilattice.base.table
+    mul = group.table
     top = semilattice.top
     # Axiom A2 holds row by row, so only meet-preserving rows are viable.
     rows = _meet_endomorphisms(semilattice)
     others = [g for g in range(g_n) if g != group.id]
-    id_row = tuple(range(y_n))
-    for combo in product(rows, repeat=len(others)):
-        dot: list[tuple[int, ...] | None] = [None] * g_n
-        dot[group.id] = id_row
-        for g, row in zip(others, combo):
-            dot[g] = row
-        ok = True
-        for g in range(g_n):
-            gtop = dot[g][top]
-            for h in range(g_n):
-                gh = group.mul(g, h)
-                if any(dot[g][dot[h][y]] != meet(dot[gh][y], gtop)
-                       for y in range(y_n)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    # A3 at (g, h) reads the rows of g, h and gh, so it is checked at the
+    # depth where the last of the three gets its row; rows left over from an
+    # earlier branch are never read.
+    depth_of = {g: d for d, g in enumerate(others)}
+    depth_of[group.id] = -1
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in others]
+    for g in range(g_n):
+        for h in range(g_n):
+            d = max(depth_of[g], depth_of[h], depth_of[mul[g][h]])
+            if d >= 0:
+                checks[d].append((g, h, mul[g][h]))
+    dot: list[tuple[int, ...] | None] = [None] * g_n
+    dot[group.id] = tuple(range(y_n))
+
+    def fill(depth: int) -> Iterator[AlmostAction]:
+        if depth == len(others):
             yield validate_almost_action(group, semilattice, dot)
+            return
+        for row in rows:
+            dot[others[depth]] = row
+            if all(dot[g][dot[h][y]] == meet[dot[gh][y]][dot[g][top]]
+                   for g, h, gh in checks[depth] for y in range(y_n)):
+                yield from fill(depth + 1)
+
+    yield from fill(0)
 
 
 def enumerate_gluing_maps(group: FiniteMonoid, semilattice: SemilatticeMonoid,

@@ -168,7 +168,15 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
 
 def monoid_from_json(doc: dict) -> FiniteMonoid:
     _check_kind(doc, "monoid")
-    return validate_monoid(doc["n"], doc["table"], doc["id"], doc.get("labels"))
+    return _monoid(doc, "")
+
+
+def _monoid(doc: dict, where: str) -> FiniteMonoid:
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValidationError(f"{where}labels must be a list")
+    return validate_monoid(_field(doc, "n", 0, where), _field(doc, "table", 2, where),
+                           _field(doc, "id", 0, where), labels)
 
 
 def almost_action_to_json(aa: AlmostAction) -> dict:
@@ -180,9 +188,9 @@ def almost_action_to_json(aa: AlmostAction) -> dict:
 
 def almost_action_from_json(doc: dict) -> AlmostAction:
     _check_kind(doc, "almost-action")
-    group = _nested_monoid(doc["group"])
-    semi = validate_semilattice(_nested_monoid(doc["semilattice"]))
-    return validate_almost_action(group, semi, doc["dot"])
+    group = _nested_monoid(doc, "group")
+    semi = validate_semilattice(_nested_monoid(doc, "semilattice"))
+    return validate_almost_action(group, semi, _field(doc, "dot", 2))
 
 
 def gluing_map_to_json(gm: GluingMap) -> dict:
@@ -194,9 +202,9 @@ def gluing_map_to_json(gm: GluingMap) -> dict:
 
 def gluing_map_from_json(doc: dict) -> GluingMap:
     _check_kind(doc, "gluing-map")
-    group = _nested_monoid(doc["group"])
-    semi = validate_semilattice(_nested_monoid(doc["semilattice"]))
-    return validate_gluing_map(group, semi, doc["f"])
+    group = _nested_monoid(doc, "group")
+    semi = validate_semilattice(_nested_monoid(doc, "semilattice"))
+    return validate_gluing_map(group, semi, _field(doc, "f", 1))
 
 
 def factor_system_to_json(fs: FactorSystem) -> dict:
@@ -209,13 +217,37 @@ def factor_system_to_json(fs: FactorSystem) -> dict:
 
 def factor_system_from_json(doc: dict) -> FactorSystem:
     _check_kind(doc, "factor-system")
-    h = _nested_monoid(doc["h"])
-    n = _nested_monoid(doc["n"])
-    return validate_factor_system(h, n, doc["sim"], doc["act"], doc["chi"])
+    h = _nested_monoid(doc, "h")
+    n = _nested_monoid(doc, "n")
+    return validate_factor_system(h, n, _field(doc, "sim", 2), _field(doc, "act", 2),
+                                  _field(doc, "chi", 2))
 
 
-def _nested_monoid(doc: dict) -> FiniteMonoid:
-    return monoid_from_json({**doc, "kind": "monoid", "schema": SCHEMA_VERSION})
+def _nested_monoid(doc: dict, key: str) -> FiniteMonoid:
+    if key not in doc:
+        raise ValidationError(f"missing key {key!r}")
+    if not isinstance(doc[key], dict):
+        raise ValidationError(f"{key} must be a JSON object")
+    return _monoid(doc[key], f"{key}.")
+
+
+_SHAPES = ("an integer", "a list of integers", "a list of lists of integers")
+
+
+def _field(doc: dict, key: str, depth: int, where: str = ""):
+    """doc[key], checked to be an integer nested in ``depth`` levels of lists."""
+    if key not in doc:
+        raise ValidationError(f"missing key {where + key!r}")
+    value = doc[key]
+    if not _nested_ints(value, depth):
+        raise ValidationError(f"{where}{key} must be {_SHAPES[depth]}")
+    return value
+
+
+def _nested_ints(value, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_nested_ints(v, depth - 1) for v in value)
 
 
 def _nested(m: FiniteMonoid) -> dict:

@@ -82,7 +82,7 @@ class SuiteContext:
 
     monoids: list  # (name, InverseMonoid): named + enumerated + constructed
     actions: list  # (name, AlmostAction) over the standard grid
-    gluing_maps: list  # (name, GluingMap) over the standard grid
+    gluing_maps: list  # (name, GluingMap, its PairMonoid Gl(f)) over the standard grid
     iso_limit: int = SUITE_ISO_LIMIT
 
 
@@ -107,12 +107,11 @@ def build_context(budget: int = SUITE_BUDGET,
             for i, aa in enumerate(enumerate_almost_actions(g, y, budget=budget)):
                 actions.append((f"aa({gname},{yname})#{i}", aa))
             for i, gm in enumerate(enumerate_gluing_maps(g, y, budget=budget)):
-                gluing_maps.append((f"gl({gname},{yname})#{i}", gm))
+                gluing_maps.append((f"gl({gname},{yname})#{i}", gm, gluing(gm)))
     for name, aa in actions:
         fp = f_product(aa)
         monoids.append((f"F[{name}]", fp.monoid))
-    for name, gm in gluing_maps:
-        gl = gluing(gm)
+    for name, _, gl in gluing_maps:
         monoids.append((f"Gl[{name}]", gl.monoid))
     return SuiteContext(monoids=monoids, actions=actions,
                         gluing_maps=gluing_maps, iso_limit=iso_limit)
@@ -204,7 +203,7 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
     """Every grid gluing is F-inverse Clifford, reproduces its map pointwise,
     and reconstructs to an isomorphic copy."""
     failures = []
-    for name, gm in ctx.gluing_maps:
+    for name, gm, _ in ctx.gluing_maps:
         try:
             gl = gluing(gm)  # re-checks Clifford, F-inverse, and the section
             back = gluing_map_from_clifford(gl.monoid)
@@ -227,12 +226,12 @@ def criterion_5(ctx: SuiteContext) -> CriterionResult:
     """Gluings over abelian groups are commutative."""
     failures = []
     checked = 0
-    for name, gm in ctx.gluing_maps:
+    for name, gm, gl in ctx.gluing_maps:
         g = gm.group
         if any(g.mul(a, b) != g.mul(b, a) for a in range(g.n) for b in range(g.n)):
             continue
         checked += 1
-        t = gluing(gm).monoid.base
+        t = gl.monoid.base
         bad = next(((x, y) for x in range(t.n) for y in range(t.n)
                     if t.mul(x, y) != t.mul(y, x)), None)
         if bad is not None:

@@ -206,3 +206,41 @@ def test_unreadable_input_is_a_usage_error(command, tmp_path):
         r = run_cli(*command, str(path))
         assert r.returncode == 2, path
         assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def _gluing_doc():
+    from imw.corpus import z2_ch2_gluing
+    from imw.mtab import gluing_map_to_json
+    return gluing_map_to_json(z2_ch2_gluing())
+
+
+def _action_doc():
+    from imw.corpus import z2_ch2_action
+    from imw.mtab import almost_action_to_json
+    return almost_action_to_json(z2_ch2_action())
+
+
+@pytest.mark.parametrize("what, doc, message", [
+    ("gluing", {**_gluing_doc(), "group": {"n": 2}}, "missing key 'group.table'"),
+    ("gluing", {**_gluing_doc(),
+                "group": {**_gluing_doc()["group"], "n": "2"}}, "group.n"),
+    ("fproduct", {**_action_doc(), "dot": 5}, "dot must be a list of lists"),
+], ids=["missing-key", "string-n", "non-list-dot"])
+def test_malformed_construction_json_is_a_usage_error(what, doc, message, tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    r = run_cli("construct", what, str(p))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_enumerate_almost_actions_over_s3():
+    from test_corpus import _almost_actions_by_exhaustion
+
+    from imw.corpus import chain, sym3
+    r = run_cli("enumerate", "--kind", "almost-action",
+                "--group", "s3", "--semilattice", "ch2", "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["count"] == len(
+        _almost_actions_by_exhaustion(sym3(), chain(2)))

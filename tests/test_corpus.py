@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from imw.constructions import validate_almost_action, validate_gluing_map
 from imw.core import is_group
 from imw.corpus import (
+    _meet_endomorphisms,
     builtin_corpus,
     chain,
     cyclic_group,
@@ -95,6 +98,44 @@ def test_almost_action_counts():
         cyclic_group(4), diamond(), budget=10 ** 8)) == 13
     assert sum(1 for _ in enumerate_almost_actions(
         klein_four(), diamond(), budget=10 ** 8)) == 31
+
+
+def _almost_actions_by_exhaustion(group, semilattice):
+    """The action tables of the full scan over rows^(|G|-1), in scan order."""
+    meet = semilattice.meet
+    top = semilattice.top
+    y_n, g_n = semilattice.n, group.n
+    rows = _meet_endomorphisms(semilattice)
+    others = [g for g in range(g_n) if g != group.id]
+    id_row = tuple(range(y_n))
+    found = []
+    for combo in product(rows, repeat=len(others)):
+        dot = [None] * g_n
+        dot[group.id] = id_row
+        for g, row in zip(others, combo):
+            dot[g] = row
+        if all(dot[g][dot[h][y]] == meet(dot[group.mul(g, h)][y], dot[g][top])
+               for g in range(g_n) for h in range(g_n) for y in range(y_n)):
+            found.append(tuple(dot))
+    return found
+
+
+def test_almost_actions_match_exhaustion_on_suite_grid():
+    total = 0
+    for group in (cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four()):
+        for semi in enumerate_semilattices(4):
+            got = [aa.dot for aa in enumerate_almost_actions(group, semi,
+                                                              budget=10 ** 8)]
+            assert got == _almost_actions_by_exhaustion(group, semi)
+            total += len(got)
+    assert total == 135
+
+
+@pytest.mark.parametrize("group", [sym3(), cyclic_group(5), cyclic_group(6)],
+                         ids=["s3", "z5", "z6"])
+def test_almost_actions_match_exhaustion_beyond_grid(group):
+    got = [aa.dot for aa in enumerate_almost_actions(group, chain(2))]
+    assert got == _almost_actions_by_exhaustion(group, chain(2))
 
 
 def test_almost_action_budget():
