@@ -355,32 +355,25 @@ def validate_gluing_map(group: FiniteMonoid, semilattice: SemilatticeMonoid,
 
 
 def gluing(gm: GluingMap) -> PairMonoid:
-    """Pairs (y,g) with y below f(g) under coordinatewise multiplication.
+    """Gl(f) = F(Y,G) of the meet action g*y = f(g) ∧ y.
 
-    The result is re-checked to be Clifford and F-inverse, and the canonical
-    section of its quotient must pick exactly the pairs (f(g), g).
+    Its pairs (y,g) with y below f(g) multiply coordinatewise. The result is
+    re-checked to be Clifford and F-inverse, and the canonical section of its
+    quotient must pick exactly the pairs (f(g), g).
     """
-    g_mon, semi = gm.group, gm.semilattice
-    meet = semi.meet
-    pairs = [(y, g) for g in range(g_mon.n) for y in range(semi.n)
-             if semi.leq(y, gm.f[g])]
-    pos = {p: i for i, p in enumerate(pairs)}
-    table = [[pos[(meet(y, z), g_mon.mul(g, h))] for (z, h) in pairs]
-             for (y, g) in pairs]
-    labels = [f"({semi.base.label(y)},{g_mon.label(g)})" for (y, g) in pairs]
-    ident = pos[(semi.top, g_mon.id)]
-    monoid = validate_inverse(validate_monoid(len(pairs), table, ident, labels))
-    if not is_clifford(monoid).holds:
+    semi = gm.semilattice
+    gl = f_product(validate_almost_action(
+        gm.group, semi, [[semi.meet(fg, y) for y in range(semi.n)] for fg in gm.f]))
+    if not is_clifford(gl.monoid).holds:
         raise InternalCharacterizationFailure("gluing produced a non-Clifford monoid")
-    wsf = weakly_schreier_iff_f_inverse(monoid)
+    wsf = weakly_schreier_iff_f_inverse(gl.monoid)
     if not wsf.holds:
         raise InternalCharacterizationFailure("gluing produced a non-F-inverse monoid")
     # The report already demands that the section equals the selector.
-    expected = tuple(pos[(gm.f[g], g)] for g in range(g_mon.n))
-    if wsf.splitting.s.values != expected:
+    if wsf.splitting.s.values != tuple(gl.index[(fg, g)] for g, fg in enumerate(gm.f)):
         raise InternalCharacterizationFailure(
             "canonical section of the gluing is not g -> (f(g), g)")
-    return PairMonoid(monoid=monoid, pairs=tuple(pairs))
+    return gl
 
 
 def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
@@ -461,13 +454,12 @@ def almost_action_from_f_inverse(m: InverseMonoid,
 
 
 def factor_system_from_extension(ext: Extension, ws: WSSplitting,
-                                 iso_limit: int | None = None,
-                                 certify: bool = True) -> FactorSystem:
+                                 iso_limit: int | None = None) -> FactorSystem:
     """Extract (sim, act, chi) from a weakly Schreier splitting.
 
     Witness elements are resolved to the least index; the eleven conditions
-    plus (optionally) a brute-force isomorphism of the crossed product with
-    the middle object guard the construction.
+    plus a brute-force isomorphism of the crossed product with the middle
+    object guard the construction.
     """
     g_mon, h_mon, n_mon = ext.g_part, ext.h_part, ext.n_part
     k, s = ext.k.values, ws.s.values
@@ -496,10 +488,8 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting,
             row.append(cand)
         chi.append(row)
     fs = validate_factor_system(h_mon, n_mon, sim, act, chi)
-    if certify:
-        xp = crossed_product(fs)
-        limit = iso_limit if iso_limit is not None else max(12, g_mon.n)
-        if brute_force_iso(xp.monoid, g_mon, max_n=limit) is None:
-            raise IsoNotFound("crossed product of the extracted factor system "
-                              "is not isomorphic to the middle object")
+    limit = iso_limit if iso_limit is not None else max(12, g_mon.n)
+    if brute_force_iso(crossed_product(fs).monoid, g_mon, max_n=limit) is None:
+        raise IsoNotFound("crossed product of the extracted factor system "
+                          "is not isomorphic to the middle object")
     return fs

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 from .constructions import (
     clifford_reconstruction,
-    crossed_product,
     f_product,
-    factor_system_from_almost_action,
     factor_system_from_extension,
     gluing,
     gluing_map_from_clifford,
@@ -31,7 +29,13 @@ from .corpus import (
     enumerate_semilattices,
     klein_four,
 )
-from .errors import EmptyCandidateFiber, ImwError, KernelMismatch, NotACongruence
+from .errors import (
+    EmptyCandidateFiber,
+    ImwError,
+    KernelMismatch,
+    NotACongruence,
+    SizeLimitExceeded,
+)
 from .extension import build_canonical_extension, is_weakly_schreier
 from .inverse import (
     InverseMonoid,
@@ -185,13 +189,11 @@ def criterion_3(ctx: SuiteContext) -> CriterionResult:
     failures = []
     for name, aa in ctx.actions:
         try:
-            fs = factor_system_from_almost_action(aa)
-            iso_f_product_crossed(aa)
-            fp = f_product(aa)
-            xp = crossed_product(fs)
-            if brute_force_iso(fp.monoid.base, xp.monoid,
-                               max_n=ctx.iso_limit) is None:
+            w = iso_f_product_crossed(aa)
+            if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
+        except SizeLimitExceeded:
+            raise
         except ImwError as exc:
             failures.append({"instance": name, "error": str(exc)})
     return CriterionResult(
@@ -201,20 +203,21 @@ def criterion_3(ctx: SuiteContext) -> CriterionResult:
 
 def criterion_4(ctx: SuiteContext) -> CriterionResult:
     """Every grid gluing is F-inverse Clifford, reproduces its map pointwise,
-    and reconstructs to an isomorphic copy."""
+    and reconstructs to an isomorphic copy. ``gluing`` checked Clifford,
+    F-inverse and the section when ``build_context`` built each Gl(f)."""
     failures = []
-    for name, gm, _ in ctx.gluing_maps:
+    for name, gm, gl in ctx.gluing_maps:
         try:
-            gl = gluing(gm)  # re-checks Clifford, F-inverse, and the section
             back = gluing_map_from_clifford(gl.monoid)
             if back.f != gm.f or back.group.table != gm.group.table:
                 failures.append({"instance": name, "error": "recovered map differs",
                                  "f": list(gm.f), "recovered": list(back.f)})
                 continue
-            clifford_reconstruction(gl.monoid)
-            if brute_force_iso(gl.monoid.base, gluing(back).monoid.base,
-                               max_n=ctx.iso_limit) is None:
+            w = clifford_reconstruction(gl.monoid)
+            if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
+        except SizeLimitExceeded:
+            raise
         except ImwError as exc:
             failures.append({"instance": name, "error": str(exc)})
     return CriterionResult(
@@ -317,10 +320,9 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
             continue
         checked += 1
         try:
-            fs = factor_system_from_extension(ext, ws, certify=False)
-            xp = crossed_product(fs)
-            if brute_force_iso(xp.monoid, m.base, max_n=ctx.iso_limit) is None:
-                failures.append({"instance": name, "error": "brute force found no iso"})
+            factor_system_from_extension(ext, ws, iso_limit=ctx.iso_limit)
+        except SizeLimitExceeded:
+            raise
         except ImwError as exc:
             failures.append({"instance": name, "error": str(exc)})
     return CriterionResult(

@@ -1,14 +1,21 @@
 """Acceptance gate: each criterion runs at its stated tolerance (exact logic,
 zero failures allowed) and prints one pass/fail line."""
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+import imw.constructions
+import imw.suite
+from imw.constructions import gluing
+from imw.corpus import m3, z2_ch2_action, z2_ch2_gluing
+from imw.inverse import validate_inverse
 from imw.suite import (
     SUITE_BUDGET,
     SUITE_ISO_LIMIT,
+    SuiteContext,
     build_context,
     criterion_1,
     criterion_2,
@@ -82,6 +89,77 @@ def test_criterion_8_suite_json_deterministic():
         assert r.returncode == 0, r.stdout + r.stderr
         runs.append(r.stdout)
     passed = runs[0] == runs[1] and len(runs[0]) > 0
+    # The bytes of perfbench/reference/suite.json.
+    assert hashlib.sha256(runs[0].encode("utf-8")).hexdigest() == \
+        "bca1a526c326ccba2147b84ada0ea2e4f2154017b96f037c2ab757218134d6fd"
     print(f"criterion 8: {'PASS' if passed else 'FAIL'}  "
           f"two consecutive suite --json runs are byte-identical")
     assert passed
+
+
+def small_context() -> SuiteContext:
+    """m3, its almost action and its gluing map: one item for criteria 3, 4 and 7."""
+    gm = z2_ch2_gluing()
+    return SuiteContext(monoids=[("m3", validate_inverse(m3()))],
+                        actions=[("z2-ch2-action", z2_ch2_action())],
+                        gluing_maps=[("z2-ch2-gluing", gm, gluing(gm))])
+
+
+BUILDERS = ("f_product", "factor_system_from_almost_action", "crossed_product", "gluing")
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """How often each construction in BUILDERS is built, by name.
+
+    Every imw module that binds a builder gets the counter, so calls from
+    inside other constructions are seen as well.
+    """
+    calls = dict.fromkeys(BUILDERS, 0)
+    for fn in BUILDERS:
+        original = getattr(imw.constructions, fn)
+
+        def counting(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("imw") and getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counting)
+    return calls
+
+
+def test_criteria_3_and_4_build_each_construction_once(build_calls):
+    ctx = small_context()
+    build_calls.update(dict.fromkeys(BUILDERS, 0))
+    assert criterion_3(ctx).passed
+    assert build_calls == {"f_product": 1, "factor_system_from_almost_action": 1,
+                           "crossed_product": 1, "gluing": 0}
+    build_calls.update(dict.fromkeys(BUILDERS, 0))
+    assert criterion_4(ctx).passed
+    # Once to rebuild Gl(f) from the recovered map, whose F(Y,G) it is.
+    assert build_calls == {"f_product": 1, "factor_system_from_almost_action": 0,
+                           "crossed_product": 0, "gluing": 1}
+
+
+def _no_iso(*args, **kwargs):
+    return None
+
+
+def test_criterion_7_runs_the_crossed_product_check(monkeypatch):
+    ctx = small_context()
+    assert criterion_7(ctx).passed
+    monkeypatch.setattr(imw.constructions, "brute_force_iso", _no_iso)
+    res = criterion_7(ctx)
+    assert not res.passed and res.checked == 1
+    assert "not isomorphic to the middle object" in res.failures[0]["error"]
+
+
+def test_criteria_3_and_4_run_their_brute_force_checks(monkeypatch):
+    ctx = small_context()
+    assert criterion_3(ctx).passed and criterion_4(ctx).passed
+    monkeypatch.setattr(imw.suite, "brute_force_iso", _no_iso)
+    for criterion in (criterion_3, criterion_4):
+        res = criterion(ctx)
+        assert not res.passed
+        assert [f["error"] for f in res.failures] == ["brute force found no iso"]

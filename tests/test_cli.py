@@ -198,6 +198,14 @@ def test_suite_budget_env_not_an_integer(monkeypatch, capsys):
     assert "IMW_BUDGET" in capsys.readouterr().err
 
 
+def test_suite_refused_iso_search_is_a_usage_error():
+    # A size cap below the grid's monoids refuses searches; no theorem failed.
+    r = run_cli("suite", "--max-iso-n", "4")
+    assert r.returncode == 2, r.stdout
+    assert r.stderr.startswith("error:") and "exceeds limit 4" in r.stderr
+    assert "Traceback" not in r.stderr and "FAIL" not in r.stdout
+
+
 @pytest.mark.parametrize("command", [["check"], ["construct", "gluing"]])
 def test_unreadable_input_is_a_usage_error(command, tmp_path):
     latin1 = tmp_path / "latin1.txt"

@@ -22,9 +22,11 @@ from imw.corpus import (
     diamond,
     enumerate_almost_actions,
     enumerate_gluing_maps,
+    enumerate_semilattices,
     klein_four,
     m3,
     m7,
+    small_groups,
     trivial_monoid,
     z2_ch2_action,
     z2_ch2_gluing,
@@ -186,6 +188,38 @@ def test_gluing_full_map_is_direct_product():
 def test_gluing_z2_ch2_is_m3():
     gl = gluing(z2_ch2_gluing())
     assert gl.monoid.base.table == m3().table
+
+
+def _gluing_by_definition(gm):
+    """Gl(f) from its definition: the pairs (y,g) with y below f(g), multiplied
+    coordinatewise, and (y,g) inverted to (y,g⁻¹).
+
+    Returns the pairs, the table, the identity, the labels and the inverses.
+    """
+    g_mon, semi = gm.group, gm.semilattice
+    pairs = [(y, g) for g in range(g_mon.n) for y in range(semi.n)
+             if semi.leq(y, gm.f[g])]
+    pos = {p: i for i, p in enumerate(pairs)}
+    table = tuple(tuple(pos[(semi.meet(y, z), g_mon.mul(g, h))] for (z, h) in pairs)
+                  for (y, g) in pairs)
+    labels = tuple(f"({semi.base.label(y)},{g_mon.label(g)})" for (y, g) in pairs)
+    g_inv = [next(h for h in range(g_mon.n) if g_mon.mul(g, h) == g_mon.id)
+             for g in range(g_mon.n)]
+    inv = tuple(pos[(y, g_inv[g])] for (y, g) in pairs)
+    return tuple(pairs), table, pos[(semi.top, g_mon.id)], labels, inv
+
+
+def test_gluing_matches_its_definition():
+    count = 0
+    for g in small_groups():
+        for y in enumerate_semilattices(4):
+            for gm in enumerate_gluing_maps(g, y):
+                gl = gluing(gm)
+                t = gl.monoid.base
+                assert (gl.pairs, t.table, t.id, t.labels, gl.monoid.inv) == \
+                    _gluing_by_definition(gm), (g.n, y.n, gm.f)
+                count += 1
+    assert count == 273  # 86 of them over the non-abelian S3
 
 
 def test_gluing_trivial_group():

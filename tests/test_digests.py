@@ -1,9 +1,12 @@
-"""Byte-identity guard: report and ``extension`` output pinned by SHA-256.
+"""Byte-identity guard: CLI and report output pinned by SHA-256.
 
-The digests were recorded before σ moved to the least-idempotent route and
-before the weakly Schreier verdict was given a single code path; any change
-to the bytes of ``check --json`` (via ``emit_report``) or of
-``extension --json`` (stdout and exit code) shows up here.
+The report and ``extension`` digests were recorded before σ moved to the
+least-idempotent route and before the weakly Schreier verdict was given a
+single code path; the ``decompose`` and ``construct gluing`` digests were
+recorded before Gl(f) was built through F(Y,G). Any change to the bytes of
+``check --json`` (via ``emit_report``), or to the exit code and stdout of
+``extension --json``, ``decompose --json`` or ``construct gluing --json``,
+shows up here.
 """
 
 import contextlib
@@ -17,13 +20,16 @@ from imw.core import direct_product, validate_monoid
 from imw.corpus import (
     brandt_b2_1,
     builtin_corpus,
+    chain,
     cyclic_group,
+    enumerate_gluing_maps,
     enumerate_inverse_monoids,
     m3,
     m7,
+    sym3,
 )
-from imw.mtab import serialize_mtab
-from imw.report import analyze, emit_report
+from imw.mtab import gluing_map_to_json, serialize_mtab
+from imw.report import analyze, emit_report, to_canonical_json
 
 
 def digest_inputs():
@@ -50,15 +56,20 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _cli_digest(argv) -> str:
+    """Digest of a CLI run's exit code plus stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return _sha(f"{code}\n{out.getvalue()}")
+
+
 def output_digests(name, m, directory) -> tuple[str, str]:
     """Digest of the JSON report, and of ``extension --json`` exit code plus stdout."""
     report = _sha(emit_report(analyze(m, name), "json"))
     path = directory / f"{name}.mtab"
     path.write_text(serialize_mtab(m), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["extension", "--json", str(path)])
-    return report, _sha(f"{code}\n{out.getvalue()}")
+    return report, _cli_digest(["extension", "--json", str(path)])
 
 
 EXPECTED = {
@@ -183,3 +194,53 @@ def test_output_bytes_unchanged(name, tmp_path):
 
 def test_every_input_is_pinned():
     assert sorted(EXPECTED) == sorted(INPUTS)
+
+
+CORPUS_TABLES = [inst.name for inst in builtin_corpus()
+                 if inst.kind in ("monoid", "group", "semilattice")]
+
+DECOMPOSE_EXPECTED = {
+    "t1": "202a0fafe5eabd47752156fb7cd5d03c0c1e00d5e89e1a1ead52d911efa39a59",
+    "z2": "c7309af8b87a7bda51f4a9660a1c110668119ef61f850f89014c1f26d7cc0ad3",
+    "z3": "134eb06f2217261e8215c69be91dccc2a8ea8ce25c74abc50f16f48ac387d739",
+    "z4": "a0d8b9e147e8d19a069790efd8037344b2704bc200be44bb36931e23ffabb83e",
+    "klein": "fd00a0201999c230b462bcbf64296b391efad4749126d221e1ca935e09041f83",
+    "s3": "5d905a8173e64e634c5bcb1e0a20e7956d268472075ca5d8b9caece35f79eb73",
+    "ch2": "c3e011040f3e766c52ca5309ec1285a0fca5164ec01b20f8a6c8f6ba906b9ef2",
+    "ch3": "0070607799bc40476c0e61978089cf836f37c64f1f6d2ce6acdbb16a4708f75c",
+    "ch4": "5cbc68ddb2b8f06d12c488a06709151da4d86f8c7db2ad2cd95550e227123165",
+    "d4": "93b1f05c4e4217299fa56eb1b12467984e91901cad01bd5d62014c9d4ba02352",
+    "m3": "bd94fb35d2b8821cf3dd11be60ac5940e0ace03a9d2bf780e24c948f8d019131",
+    "b2-1": "7d9c3a7e95661601fa04ff5c82abfe935b1841f820e608ac3795fae0e4e3081c",
+    "m7": "6d723230da914ebdd6b701ea59789d4266d8ea622a6de934554ed6c49ff8095b",
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_TABLES)
+def test_decompose_bytes_unchanged(name, tmp_path):
+    path = tmp_path / f"{name}.mtab"
+    path.write_text(serialize_mtab(INPUTS[name]), encoding="utf-8")
+    assert _cli_digest(["decompose", "--json", str(path)]) == DECOMPOSE_EXPECTED[name]
+
+
+def gluing_documents():
+    """(name, gluing-map JSON document) for every pinned ``construct gluing``."""
+    corpus = {inst.name: inst.payload for inst in builtin_corpus()}
+    # Map 11 over the non-abelian S3 and the 3-chain takes all three values.
+    s3_ch3 = list(enumerate_gluing_maps(sym3(), chain(3)))[11]
+    return [("z2-ch2-gluing", gluing_map_to_json(corpus["z2-ch2-gluing"])),
+            ("s3-ch3-gluing-11", gluing_map_to_json(s3_ch3))]
+
+
+CONSTRUCT_GLUING_EXPECTED = {
+    "z2-ch2-gluing": "7456fec52005b945c3dfdb633f8e3266c9d7038428b1bcc099f6217423c48493",
+    "s3-ch3-gluing-11": "c0acb9e57e7b90fed3af5c9183db40536fea925df4c7c7a763e58c214fcc9944",
+}
+
+
+@pytest.mark.parametrize("name,doc", gluing_documents())
+def test_construct_gluing_bytes_unchanged(name, doc, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(to_canonical_json(doc), encoding="utf-8")
+    assert _cli_digest(["construct", "gluing", "--json", str(path)]) \
+        == CONSTRUCT_GLUING_EXPECTED[name]
