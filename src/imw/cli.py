@@ -143,15 +143,14 @@ def cmd_decompose(args) -> int:
     name = Path(args.file).stem
     inv = validate_inverse(m)
     try:
-        aa, _ = almost_action_from_f_inverse(inv, iso_limit=max(args.max_iso_n, m.n))
+        aa, _ = almost_action_from_f_inverse(inv)
     except PreconditionFailed as exc:
         msg = {"schema": SCHEMA_VERSION, "instance": name, "decomposable": False,
                "reason": str(exc)}
         sys.stdout.write(to_canonical_json(msg) if args.json else f"{exc}\n")
         return EXIT_PROPERTY_FALSE
     wsf = weakly_schreier_iff_f_inverse(inv)
-    fs = factor_system_from_extension(wsf.extension, wsf.splitting,
-                                      iso_limit=max(args.max_iso_n, m.n))
+    fs, _ = factor_system_from_extension(wsf.extension, wsf.splitting)
     payload = {
         "schema": SCHEMA_VERSION,
         "instance": name,

@@ -2,10 +2,9 @@
 
 Each construction has a validated input type, a builder that produces a
 table-level monoid, and an extraction map going the other way. Every
-isomorphism claimed by theory is realized by explicit maps and certified;
-the conjugation formula used to recover an almost action from an F-inverse
-monoid is additionally re-certified per instance by brute-force search,
-since it is a choice rather than a theorem stated with formulas.
+isomorphism claimed by theory is realized by the explicit maps the theorem
+gives and certified by ``verify_iso``; brute-force search is not used here,
+since it is the independent oracle the suite and the tests check against.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .errors import (
     IdentityNotTop,
     IllDefinedMultiplication,
     InternalCharacterizationFailure,
-    IsoNotFound,
     NoActionWitness,
     NoChiWitness,
     PreconditionFailed,
@@ -33,7 +31,7 @@ from .inverse import (
     is_clifford,
     validate_inverse,
 )
-from .iso import IsoWitness, brute_force_iso, verify_iso
+from .iso import IsoWitness, verify_iso
 
 
 @dataclass(frozen=True)
@@ -376,11 +374,9 @@ def gluing(gm: GluingMap) -> PairMonoid:
     return gl
 
 
-def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
-    """Recover f(g) = s(g)*inv(s(g)) from an F-inverse Clifford monoid."""
-    cres = is_clifford(m)
-    if not cres.holds:
-        raise PreconditionFailed("monoid must be Clifford", cres.witness)
+def _section_data(m: InverseMonoid):
+    """M/σ, E(M) with its inclusion into M, the position of each idempotent in
+    E(M), and the greatest-element selector s of an F-inverse monoid."""
     fres = m.f_inverse
     if not fres.holds:
         raise PreconditionFailed("monoid must be F-inverse",
@@ -388,7 +384,23 @@ def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
     h, _ = quotient(m.base, m.sigma)
     semi, emb = idempotent_semilattice(m)
     pos = {e: i for i, e in enumerate(emb.values)}
-    sel = fres.selector
+    return h, semi, emb.values, pos, fres.selector
+
+
+def _certify_pairs(m: InverseMonoid, pm: PairMonoid, emb, pos, sel) -> IsoWitness:
+    """Certify M ≅ pm by x ↦ (x·x⁻¹, σ(x)) and (y, g) ↦ y·s(g)."""
+    forward = [pm.index[(pos[m.mul(x, m.inv[x])], m.sigma.class_of[x])]
+               for x in range(m.n)]
+    backward = [m.mul(emb[y], sel[g]) for (y, g) in pm.pairs]
+    return verify_iso(m.base, pm.monoid.base, forward, backward)
+
+
+def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
+    """Recover f(g) = s(g)*inv(s(g)) from an F-inverse Clifford monoid."""
+    cres = is_clifford(m)
+    if not cres.holds:
+        raise PreconditionFailed("monoid must be Clifford", cres.witness)
+    h, semi, _, pos, sel = _section_data(m)
     # The greatest elements must be closed under inversion classwise.
     for c in range(h.n):
         cinv = next(d for d in range(h.n)
@@ -400,43 +412,28 @@ def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
     return validate_gluing_map(h, semi, f)
 
 
-def clifford_reconstruction(m: InverseMonoid) -> IsoWitness:
-    """Certify M against the gluing rebuilt from its own section data."""
+def clifford_reconstruction(m: InverseMonoid) -> tuple[GluingMap, IsoWitness]:
+    """Recover the gluing map of M and certify M against the Gl(f) it builds."""
     gm = gluing_map_from_clifford(m)
-    gl = gluing(gm)
-    sigma, sel = m.sigma, m.f_inverse.selector
-    _, emb = idempotent_semilattice(m)
-    pos = {e: i for i, e in enumerate(emb.values)}
-    forward = [gl.index[(pos[m.mul(x, m.inv[x])], sigma.class_of[x])]
-               for x in range(m.n)]
-    backward = [m.mul(emb.values[y], sel[g]) for (y, g) in gl.pairs]
-    return verify_iso(m.base, gl.monoid.base, forward, backward)
+    _, _, emb, pos, sel = _section_data(m)
+    return gm, _certify_pairs(m, gluing(gm), emb, pos, sel)
 
 
 # --- extraction back to construction data --------------------------------------
 
 
-def almost_action_from_f_inverse(m: InverseMonoid,
-                                 iso_limit: int | None = None) \
-        -> tuple[AlmostAction, IsoWitness]:
+def almost_action_from_f_inverse(m: InverseMonoid) -> tuple[AlmostAction, IsoWitness]:
     """Recover an almost action by conjugation with the greatest elements.
 
-    The conjugation formula is a choice, so the axioms and the isomorphism
-    F(Y,G) ≅ M are both re-certified; a failure is raised, never ignored.
+    The axioms are re-checked, and M is certified against F(Y,G) by
+    x ↦ (x·x⁻¹, σ(x)) and (y, g) ↦ y·s(g); a failure is raised, never ignored.
     """
-    fres = m.f_inverse
-    if not fres.holds:
-        raise PreconditionFailed("monoid must be F-inverse",
-                                 (fres.witness_class, fres.witness_maximals))
-    sel = fres.selector
-    h, _ = quotient(m.base, m.sigma)
-    semi, emb = idempotent_semilattice(m)
-    pos = {e: i for i, e in enumerate(emb.values)}
+    h, semi, emb, pos, sel = _section_data(m)
     dot = []
     for g in range(h.n):
         s_g = sel[g]
         row = []
-        for y in emb.values:
+        for y in emb:
             conj = m.mul(m.mul(s_g, y), m.inv[s_g])
             if conj not in pos:
                 raise InternalCharacterizationFailure(
@@ -444,25 +441,20 @@ def almost_action_from_f_inverse(m: InverseMonoid,
             row.append(pos[conj])
         dot.append(row)
     aa = validate_almost_action(h, semi, dot)
-    fp = f_product(aa)
-    limit = iso_limit if iso_limit is not None else max(12, m.n)
-    witness = brute_force_iso(fp.monoid.base, m.base, max_n=limit)
-    if witness is None:
-        raise IsoNotFound("F(Y,G) built from the recovered action is not "
-                          "isomorphic to the source monoid")
-    return aa, witness
+    return aa, _certify_pairs(m, f_product(aa), emb, pos, sel)
 
 
-def factor_system_from_extension(ext: Extension, ws: WSSplitting,
-                                 iso_limit: int | None = None) -> FactorSystem:
+def factor_system_from_extension(ext: Extension, ws: WSSplitting) \
+        -> tuple[FactorSystem, IsoWitness]:
     """Extract (sim, act, chi) from a weakly Schreier splitting.
 
-    Witness elements are resolved to the least index; the eleven conditions
-    plus a brute-force isomorphism of the crossed product with the middle
-    object guard the construction.
+    Witness elements are resolved to the least index. The eleven conditions
+    are checked, and the crossed product is certified against the middle
+    object by (h, [n]) ↦ k(n)·s(h) and g ↦ (q(g), [n]) for the n with
+    k(n)·s(q(g)) = g.
     """
     g_mon, h_mon, n_mon = ext.g_part, ext.h_part, ext.n_part
-    k, s = ext.k.values, ws.s.values
+    k, s, q = ext.k.values, ws.s.values, ext.q.values
     sim = [[g_mon.mul(k[n], s[h]) for n in range(n_mon.n)] for h in range(h_mon.n)]
     act = []
     for h in range(h_mon.n):
@@ -488,8 +480,16 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting,
             row.append(cand)
         chi.append(row)
     fs = validate_factor_system(h_mon, n_mon, sim, act, chi)
-    limit = iso_limit if iso_limit is not None else max(12, g_mon.n)
-    if brute_force_iso(crossed_product(fs).monoid, g_mon, max_n=limit) is None:
-        raise IsoNotFound("crossed product of the extracted factor system "
-                          "is not isomorphic to the middle object")
-    return fs
+    xp = crossed_product(fs)
+    rep: dict[tuple[int, int], int] = {}
+    for h in range(h_mon.n):
+        for n in range(n_mon.n):
+            rep.setdefault((h, fs.sim[h][n]), n)
+    forward = [g_mon.mul(k[rep[e]], s[e[0]]) for e in xp.elements]
+    backward = []
+    for g in range(g_mon.n):
+        n = next((n for n in range(n_mon.n) if g_mon.mul(k[n], s[q[g]]) == g), None)
+        if n is None:
+            raise PreconditionFailed("splitting must be weakly Schreier", g)
+        backward.append(xp.index[(q[g], fs.sim[q[g]][n])])
+    return fs, verify_iso(xp.monoid, g_mon, forward, backward)

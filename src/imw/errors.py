@@ -172,11 +172,6 @@ class PreconditionFailed(ImwError):
                          + (f" (witness {witness})" if witness is not None else ""))
 
 
-class IsoNotFound(InternalCheckFailed):
-    def __init__(self, detail: str):
-        super().__init__(f"expected isomorphism not found: {detail}")
-
-
 # --- search limits -----------------------------------------------------------
 
 class SizeLimitExceeded(ImwError):

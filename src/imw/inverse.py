@@ -222,19 +222,23 @@ def is_f_inverse(m: InverseMonoid) -> FInverseResult:
 
     For a finite class this is the same as having a unique maximal element;
     on failure the offending class and its incomparable maximals are returned.
+    x <= y is tested as x = x*inv(x)*y, so the dense order is never built.
     """
     sigma = m.sigma
-    order = natural_order(m)
+
+    def leq(x: int, y: int) -> bool:
+        return m.mul(m.mul(x, m.inv[x]), y) == x
+
     selector = []
     for c, members in enumerate(sigma.classes()):
         maximals = [x for x in members
-                    if not any(order.leq[x][y] for y in members if y != x)]
+                    if not any(leq(x, y) for y in members if y != x)]
         if len(maximals) != 1:
             return FInverseResult(holds=False, sigma=sigma,
                                   witness_class=c,
                                   witness_maximals=tuple(maximals))
         top = maximals[0]
-        if not all(order.leq[y][top] for y in members):
+        if not all(leq(y, top) for y in members):
             raise OrderAxiomViolation("unique maximal is not greatest", (c, top))
         selector.append(top)
     return FInverseResult(holds=True, sigma=sigma, selector=tuple(selector))

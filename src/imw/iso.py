@@ -8,7 +8,6 @@ theorems are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 from .core import FiniteMonoid, MonoidMap, make_monoid_map
@@ -95,32 +94,13 @@ def _search(a: FiniteMonoid, b: FiniteMonoid,
 
 
 def brute_force_iso(a: FiniteMonoid, b: FiniteMonoid,
-                    max_n: int = DEFAULT_ISO_LIMIT,
-                    pruning: bool = True) -> IsoWitness | None:
-    """First isomorphism found in a deterministic backtracking order, or None.
-
-    With ``pruning=False`` every bijection is tried; that mode exists purely
-    as a slow oracle to validate the pruned search on small instances.
-    """
+                    max_n: int = DEFAULT_ISO_LIMIT) -> IsoWitness | None:
+    """First isomorphism found in a deterministic backtracking order, or None."""
     if a.n != b.n:
         return None
     n = a.n
     if n > max_n:
         raise SizeLimitExceeded(n, max_n)
-
-    if not pruning:
-        rng = list(range(n))
-        for perm in permutations(rng):
-            if perm[a.id] != b.id:
-                continue
-            if all(perm[a.mul(x, y)] == b.mul(perm[x], perm[y])
-                   for x in rng for y in rng):
-                back = [0] * n
-                for x, y in enumerate(perm):
-                    back[y] = x
-                return verify_iso(a, b, list(perm), back)
-        return None
-
     prof_a = [element_profile(a, x) for x in range(n)]
     prof_b = [element_profile(b, x) for x in range(n)]
     if sorted(prof_a) != sorted(prof_b):

@@ -15,7 +15,6 @@ from .constructions import (
     f_product,
     factor_system_from_extension,
     gluing,
-    gluing_map_from_clifford,
     iso_f_product_crossed,
 )
 from .core import FiniteMonoid, is_group, make_congruence, quotient
@@ -208,12 +207,11 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
     failures = []
     for name, gm, gl in ctx.gluing_maps:
         try:
-            back = gluing_map_from_clifford(gl.monoid)
+            back, w = clifford_reconstruction(gl.monoid)
             if back.f != gm.f or back.group.table != gm.group.table:
                 failures.append({"instance": name, "error": "recovered map differs",
                                  "f": list(gm.f), "recovered": list(back.f)})
                 continue
-            w = clifford_reconstruction(gl.monoid)
             if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
         except SizeLimitExceeded:
@@ -307,7 +305,8 @@ def criterion_6(ctx: SuiteContext) -> CriterionResult:
 
 def criterion_7(ctx: SuiteContext) -> CriterionResult:
     """Factor systems extracted from weakly Schreier canonical extensions
-    rebuild the middle object up to brute-force isomorphism."""
+    rebuild the middle object: the certified isomorphism of the extraction,
+    cross-checked by brute force."""
     failures = []
     checked = 0
     for name, m in ctx.monoids:
@@ -320,7 +319,9 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
             continue
         checked += 1
         try:
-            factor_system_from_extension(ext, ws, iso_limit=ctx.iso_limit)
+            _, w = factor_system_from_extension(ext, ws)
+            if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
+                failures.append({"instance": name, "error": "brute force found no iso"})
         except SizeLimitExceeded:
             raise
         except ImwError as exc:
@@ -340,20 +341,18 @@ def _run_once(budget: int, iso_limit: int) -> list[CriterionResult]:
 
 
 def run_suite(budget: int = SUITE_BUDGET,
-              iso_limit: int = SUITE_ISO_LIMIT,
-              check_determinism: bool = True) -> SuiteResult:
+              iso_limit: int = SUITE_ISO_LIMIT) -> SuiteResult:
     """Run criteria 1-7, then re-run them and compare canonical JSON bytes."""
     results = _run_once(budget, iso_limit)
-    if check_determinism:
-        first = to_canonical_json(
-            {"criteria": [c.to_json_dict() for c in results]})
-        second = to_canonical_json(
-            {"criteria": [c.to_json_dict() for c in _run_once(budget, iso_limit)]})
-        results.append(CriterionResult(
-            8, "two consecutive runs are byte-identical",
-            passed=first == second, checked=2,
-            details={"bytes": len(first)},
-            failures=[] if first == second else [{"error": "outputs differ"}]))
+    first = to_canonical_json(
+        {"criteria": [c.to_json_dict() for c in results]})
+    second = to_canonical_json(
+        {"criteria": [c.to_json_dict() for c in _run_once(budget, iso_limit)]})
+    results.append(CriterionResult(
+        8, "two consecutive runs are byte-identical",
+        passed=first == second, checked=2,
+        details={"bytes": len(first)},
+        failures=[] if first == second else [{"error": "outputs differ"}]))
     return SuiteResult(criteria=results)
 
 

@@ -149,10 +149,10 @@ def _no_iso(*args, **kwargs):
 def test_criterion_7_runs_the_crossed_product_check(monkeypatch):
     ctx = small_context()
     assert criterion_7(ctx).passed
-    monkeypatch.setattr(imw.constructions, "brute_force_iso", _no_iso)
+    monkeypatch.setattr(imw.suite, "brute_force_iso", _no_iso)
     res = criterion_7(ctx)
     assert not res.passed and res.checked == 1
-    assert "not isomorphic to the middle object" in res.failures[0]["error"]
+    assert [f["error"] for f in res.failures] == ["brute force found no iso"]
 
 
 def test_criteria_3_and_4_run_their_brute_force_checks(monkeypatch):

@@ -15,13 +15,14 @@ from imw.constructions import (
     validate_factor_system,
     validate_gluing_map,
 )
-from imw.core import direct_product, quotient, validate_monoid
+from imw.core import direct_product, make_monoid_map, quotient, validate_monoid
 from imw.corpus import (
     chain,
     cyclic_group,
     diamond,
     enumerate_almost_actions,
     enumerate_gluing_maps,
+    enumerate_inverse_monoids,
     enumerate_semilattices,
     klein_four,
     m3,
@@ -38,7 +39,12 @@ from imw.errors import (
     IllDefinedMultiplication,
     PreconditionFailed,
 )
-from imw.extension import build_canonical_extension, is_weakly_schreier
+from imw.extension import (
+    WSSplitting,
+    build_canonical_extension,
+    is_weakly_schreier,
+    weakly_schreier_iff_f_inverse,
+)
 from imw.inverse import (
     idempotent_semilattice,
     is_clifford,
@@ -247,7 +253,9 @@ def test_gluing_map_from_clifford_rejects_m7():
 def test_clifford_reconstruction():
     for m in (m3(), direct_product(chain(2).base, cyclic_group(2)),
               cyclic_group(5)):
-        w = clifford_reconstruction(validate_inverse(m))
+        inv = validate_inverse(m)
+        gm, w = clifford_reconstruction(inv)
+        assert gm == gluing_map_from_clifford(inv)
         assert len(w.forward.values) == m.n
 
 
@@ -267,8 +275,9 @@ def test_almost_action_from_gluings_round_trip():
     g, y = cyclic_group(2), diamond()
     for gm in enumerate_gluing_maps(g, y):
         gl = gluing(gm)
-        aa, w = almost_action_from_f_inverse(gl.monoid, iso_limit=16)
+        aa, w = almost_action_from_f_inverse(gl.monoid)
         assert len(w.forward.values) == gl.monoid.n
+        assert brute_force_iso(w.a, w.b) is not None
 
 
 def test_almost_action_rejects_non_f_inverse():
@@ -280,7 +289,7 @@ def test_factor_system_from_group_extension():
     g = validate_inverse(cyclic_group(3))
     ext = build_canonical_extension(g)
     ws = is_weakly_schreier(ext)
-    fs = factor_system_from_extension(ext, ws)
+    fs, w = factor_system_from_extension(ext, ws)
     assert fs.n_part.n == 1
     assert fs.chi == ((0, 0, 0),) * 3
 
@@ -289,8 +298,9 @@ def test_factor_system_from_m3_extension():
     m = validate_inverse(m3())
     ext = build_canonical_extension(m)
     ws = is_weakly_schreier(ext)
-    fs = factor_system_from_extension(ext, ws)  # certifies internally
+    fs, w = factor_system_from_extension(ext, ws)  # certifies internally
     xp = crossed_product(fs)
+    assert w.a == xp.monoid and w.b == m.base
     assert brute_force_iso(xp.monoid, m.base) is not None
 
 
@@ -299,8 +309,59 @@ def test_factor_system_from_gluing_extensions():
         gl = gluing(gm)
         ext = build_canonical_extension(gl.monoid)
         ws = is_weakly_schreier(ext)
-        fs = factor_system_from_extension(ext, ws, iso_limit=16)
+        fs, w = factor_system_from_extension(ext, ws)
         assert fs.h_part.n == 4
+        assert brute_force_iso(w.a, w.b) is not None
+
+
+def test_factor_system_from_extension_needs_a_weakly_schreier_section():
+    # m7 is E-unitary but not F-inverse: whichever element of its non-identity
+    # fiber {4, 5, 6} the section picks, some g is not k(n)*s(q(g)).
+    m = validate_inverse(m7())
+    ext = build_canonical_extension(m)
+    for pick in (4, 5, 6):
+        s = make_monoid_map(ext.h_part, ext.g_part, [0, pick], kind="function")
+        with pytest.raises(PreconditionFailed, match="weakly Schreier"):
+            factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
+
+
+def _extraction_cases(corpus_monoids):
+    """The F-inverse corpus, the F-inverse monoids of order at most 5, and the
+    gluings over z2 x diamond and z4 x ch3."""
+    cases = [m for _, m in corpus_monoids]
+    cases += list(enumerate_inverse_monoids(5))
+    for g, y in ((cyclic_group(2), diamond()), (cyclic_group(4), chain(3))):
+        cases += [gluing(gm).monoid for gm in enumerate_gluing_maps(g, y)]
+    return [m for m in cases if m.f_inverse.holds]
+
+
+def test_extraction_witnesses_are_the_theorem_maps(corpus_monoids):
+    cases = _extraction_cases(corpus_monoids)
+    assert len(cases) == 11 + 25 + 4 + 6
+    for m in cases:
+        sigma, sel = m.sigma, m.f_inverse.selector
+        _, emb = idempotent_semilattice(m)
+        pos = {e: i for i, e in enumerate(emb.values)}
+        # M = F(E(M), M/sigma) by x -> (x*inv(x), sigma(x)) and (y, g) -> y*s(g).
+        aa, w = almost_action_from_f_inverse(m)
+        fp = f_product(aa)
+        assert (w.a, w.b) == (m.base, fp.monoid.base)
+        assert [fp.pairs[v] for v in w.forward.values] == \
+            [(pos[m.mul(x, m.inv[x])], sigma.class_of[x]) for x in range(m.n)]
+        assert list(w.backward.values) == \
+            [m.mul(emb.values[y], sel[g]) for (y, g) in fp.pairs]
+        assert brute_force_iso(w.a, w.b, max_n=m.n) is not None
+        # The crossed product is G by (h, [n]) -> k(n)*s(h) for every n in [n].
+        wsf = weakly_schreier_iff_f_inverse(m)
+        ext, s = wsf.extension, wsf.splitting.s.values
+        fs, w = factor_system_from_extension(ext, wsf.splitting)
+        xp = crossed_product(fs)
+        assert (w.a, w.b) == (xp.monoid, ext.g_part)
+        for (h, c), img in zip(xp.elements, w.forward.values):
+            assert {m.mul(ext.k.values[n], s[h]) for n in range(fs.n_part.n)
+                    if fs.sim[h][n] == c} == {img}
+        assert [xp.elements[v][0] for v in w.backward.values] == list(ext.q.values)
+        assert brute_force_iso(w.a, w.b, max_n=m.n) is not None
 
 
 def grid_actions():

@@ -28,7 +28,7 @@ from imw.inverse import (
     validate_inverse,
 )
 from imw.report import analyze
-from imw.suite import sigma_by_exhaustion
+from imw.suite import build_context, sigma_by_exhaustion
 
 
 def sigma_by_union_find(m):
@@ -271,6 +271,32 @@ def test_m7_not_f_inverse():
     order = natural_order(m)
     a, b = res.witness_maximals
     assert not order.leq[a][b] and not order.leq[b][a]
+
+
+def _f_inverse_by_order(m):
+    """Oracle: the greatest element of each sigma class, read off the dense
+    natural order, as (selector, witness class, witness maximals)."""
+    order = natural_order(m)
+    selector = []
+    for c, members in enumerate(m.sigma.classes()):
+        maximals = tuple(x for x in members
+                         if not any(order.leq[x][y] for y in members if y != x))
+        if len(maximals) != 1:
+            return None, c, maximals
+        assert all(order.leq[y][maximals[0]] for y in members)
+        selector.append(maximals[0])
+    return tuple(selector), None, None
+
+
+def test_f_inverse_matches_the_dense_natural_order(corpus_monoids):
+    cases = [m for _, m in corpus_monoids]
+    cases += list(enumerate_inverse_monoids(5))
+    cases += [m for _, m in build_context().monoids]
+    assert (len(cases), sum(not is_f_inverse(m).holds for m in cases)) == (346, 29)
+    for m in cases:
+        res = is_f_inverse(m)
+        assert (res.selector, res.witness_class, res.witness_maximals) == \
+            _f_inverse_by_order(m)
 
 
 def test_f_inverse_implies_e_unitary(corpus_monoids):
