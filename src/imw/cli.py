@@ -180,7 +180,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    text = Path(args.file).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValidationError("JSON input is nested too deeply") from None
     if args.what == "fproduct":
         built = f_product(almost_action_from_json(doc)).monoid.base
     elif args.what == "gluing":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteMonoid, first_occurrence_classes, is_group, quotient, validate_monoid
+from .core import FiniteMonoid, first_occurrence_classes, is_group, validate_monoid
 from .errors import (
     AxiomViolation,
     ConditionViolation,
@@ -27,7 +27,6 @@ from .extension import Extension, WSSplitting, weakly_schreier_iff_f_inverse
 from .inverse import (
     InverseMonoid,
     SemilatticeMonoid,
-    idempotent_semilattice,
     is_clifford,
     validate_inverse,
 )
@@ -40,8 +39,9 @@ class AlmostAction:
     semilattice: SemilatticeMonoid
     dot: tuple[tuple[int, ...], ...]  # dot[g][y]
 
-    def act(self, g: int, y: int) -> int:
-        return self.dot[g][y]
+    @cached_property
+    def f_product(self) -> PairMonoid:  # F(Y,G)
+        return f_product(self)
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,6 @@ class FactorSystem:
     sim: tuple[tuple[int, ...], ...]  # sim[h][n]: class of n at index h
     act: tuple[tuple[int, ...], ...]  # act[h][n]
     chi: tuple[tuple[int, ...], ...]  # chi[h1][h2]
-
-    def same(self, h: int, n1: int, n2: int) -> bool:
-        return self.sim[h][n1] == self.sim[h][n2]
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,7 @@ def iso_f_product_crossed(aa: AlmostAction) -> IsoWitness:
     Forward sends (y,g) to its class at g; backward sends a class back to the
     meet of any representative with g*top.
     """
-    fp = f_product(aa)
+    fp = aa.f_product
     fs = factor_system_from_almost_action(aa)
     xp = crossed_product(fs)
     semi = aa.semilattice
@@ -375,32 +372,29 @@ def gluing(gm: GluingMap) -> PairMonoid:
 
 
 def _section_data(m: InverseMonoid):
-    """M/σ, E(M) with its inclusion into M, the position of each idempotent in
-    E(M), and the greatest-element selector s of an F-inverse monoid."""
+    """The index of each idempotent in E(M) and the selector s of an F-inverse M."""
     fres = m.f_inverse
     if not fres.holds:
         raise PreconditionFailed("monoid must be F-inverse",
                                  (fres.witness_class, fres.witness_maximals))
-    h, _ = quotient(m.base, m.sigma)
-    semi, emb = idempotent_semilattice(m)
-    pos = {e: i for i, e in enumerate(emb.values)}
-    return h, semi, emb.values, pos, fres.selector
+    return {e: i for i, e in enumerate(m.semilattice[1].values)}, fres.selector
 
 
-def _certify_pairs(m: InverseMonoid, pm: PairMonoid, emb, pos, sel) -> IsoWitness:
+def _certify_pairs(m: InverseMonoid, pm: PairMonoid, pos, sel) -> IsoWitness:
     """Certify M ≅ pm by x ↦ (x·x⁻¹, σ(x)) and (y, g) ↦ y·s(g)."""
     forward = [pm.index[(pos[m.mul(x, m.inv[x])], m.sigma.class_of[x])]
                for x in range(m.n)]
-    backward = [m.mul(emb[y], sel[g]) for (y, g) in pm.pairs]
+    backward = [m.mul(m.semilattice[1].values[y], sel[g]) for (y, g) in pm.pairs]
     return verify_iso(m.base, pm.monoid.base, forward, backward)
 
 
-def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
-    """Recover f(g) = s(g)*inv(s(g)) from an F-inverse Clifford monoid."""
+def _recover_gluing_map(m: InverseMonoid):
+    """gluing_map_from_clifford, also returning the section data it read."""
     cres = is_clifford(m)
     if not cres.holds:
         raise PreconditionFailed("monoid must be Clifford", cres.witness)
-    h, semi, _, pos, sel = _section_data(m)
+    pos, sel = _section_data(m)
+    h = m.group_image[0]
     # The greatest elements must be closed under inversion classwise.
     for c in range(h.n):
         cinv = next(d for d in range(h.n)
@@ -409,14 +403,18 @@ def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
             raise InternalCharacterizationFailure(
                 f"inv(s({c})) is not the greatest element of class {cinv}")
     f = [pos[m.mul(sel[c], m.inv[sel[c]])] for c in range(h.n)]
-    return validate_gluing_map(h, semi, f)
+    return validate_gluing_map(h, m.semilattice[0], f), pos, sel
+
+
+def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
+    """Recover f(g) = s(g)*inv(s(g)) from an F-inverse Clifford monoid."""
+    return _recover_gluing_map(m)[0]
 
 
 def clifford_reconstruction(m: InverseMonoid) -> tuple[GluingMap, IsoWitness]:
     """Recover the gluing map of M and certify M against the Gl(f) it builds."""
-    gm = gluing_map_from_clifford(m)
-    _, _, emb, pos, sel = _section_data(m)
-    return gm, _certify_pairs(m, gluing(gm), emb, pos, sel)
+    gm, pos, sel = _recover_gluing_map(m)
+    return gm, _certify_pairs(m, gluing(gm), pos, sel)
 
 
 # --- extraction back to construction data --------------------------------------
@@ -428,12 +426,13 @@ def almost_action_from_f_inverse(m: InverseMonoid) -> tuple[AlmostAction, IsoWit
     The axioms are re-checked, and M is certified against F(Y,G) by
     x ↦ (x·x⁻¹, σ(x)) and (y, g) ↦ y·s(g); a failure is raised, never ignored.
     """
-    h, semi, emb, pos, sel = _section_data(m)
+    pos, sel = _section_data(m)
+    (semi, k), (h, _) = m.semilattice, m.group_image
     dot = []
     for g in range(h.n):
         s_g = sel[g]
         row = []
-        for y in emb:
+        for y in k.values:
             conj = m.mul(m.mul(s_g, y), m.inv[s_g])
             if conj not in pos:
                 raise InternalCharacterizationFailure(
@@ -441,7 +440,7 @@ def almost_action_from_f_inverse(m: InverseMonoid) -> tuple[AlmostAction, IsoWit
             row.append(pos[conj])
         dot.append(row)
     aa = validate_almost_action(h, semi, dot)
-    return aa, _certify_pairs(m, f_product(aa), emb, pos, sel)
+    return aa, _certify_pairs(m, aa.f_product, pos, sel)
 
 
 def factor_system_from_extension(ext: Extension, ws: WSSplitting) \

@@ -28,10 +28,6 @@ class FiniteMonoid:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
     def is_idempotent(self, x: int) -> bool:
         return self.table[x][x] == x
 
@@ -50,9 +46,6 @@ class MonoidMap:
     target: FiniteMonoid
     values: tuple[int, ...]
     kind: str = "homomorphism"  # or "function"
-
-    def __call__(self, x: int) -> int:
-        return self.values[x]
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMonoid, MonoidMap, make_monoid_map, quotient
+from .core import FiniteMonoid, MonoidMap, make_monoid_map
 from .errors import (
     EmptyCandidateFiber,
     KernelMismatch,
@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .inverse import FInverseResult, InverseMonoid, idempotent_semilattice
+from .inverse import FInverseResult, InverseMonoid
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,8 @@ def make_extension(n_part: FiniteMonoid, g_part: FiniteMonoid, h_part: FiniteMon
 
 def build_canonical_extension(m: InverseMonoid) -> Extension:
     """E(M) -> M -> M/sigma; raises KernelMismatch exactly when M is not E-unitary."""
-    semi, emb = idempotent_semilattice(m)
-    h, qmap = quotient(m.base, m.sigma)
-    return make_extension(semi.base, m.base, h, emb, qmap)
+    (semi, k), (h, q) = m.semilattice, m.group_image
+    return make_extension(semi.base, m.base, h, k, q)
 
 
 def is_weakly_schreier(ext: Extension) -> WSSplitting:

@@ -2,7 +2,8 @@
 
 Covers unique generalized inverses, the idempotent semilattice, the natural
 partial order, the minimum group congruence, and the E-unitary / F-inverse /
-Clifford predicates with explicit counterexample witnesses.
+Clifford predicates with explicit counterexample witnesses. Each
+``InverseMonoid`` derives σ, its F-inverse verdict, E(M) and M/σ at most once.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ class InverseMonoid:
     @cached_property
     def f_inverse(self) -> FInverseResult:
         return is_f_inverse(self)
+
+    @cached_property
+    def semilattice(self) -> tuple[SemilatticeMonoid, MonoidMap]:  # E(M) and k
+        return idempotent_semilattice(self)
+
+    @cached_property
+    def group_image(self) -> tuple[FiniteMonoid, MonoidMap]:  # M/σ and q
+        return quotient(self.base, self.sigma)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class MtabDocument:
-    version: str
     n: int
     id: int
     labels: tuple[str, ...] | None
@@ -47,7 +46,7 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 def _parse_int(token: str, lineno: int, column: int) -> int:
     # Exact integers only; no floats, signs or stray characters.
-    if not token.isdigit():
+    if not token.isdecimal():
         raise MtabSyntaxError(f"expected a non-negative integer, got {token!r}",
                               lineno, column)
     return int(token)
@@ -89,7 +88,10 @@ def parse_mtab_document(text: str) -> MtabDocument:
     labels: tuple[str, ...] | None = None
     if pos < len(lines) and lines[pos][1].startswith("labels="):
         lineno, body = need("labels")
-        labels = tuple(next(csv.reader([body[len("labels="):]])))
+        try:
+            labels = tuple(next(csv.reader([body[len("labels="):]])))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MtabSyntaxError(f"bad labels: {exc}", lineno) from None
         if len(labels) != n:
             raise MtabSyntaxError(f"expected {n} labels, got {len(labels)}", lineno)
     rows = []
@@ -116,8 +118,7 @@ def parse_mtab_document(text: str) -> MtabDocument:
     if pos < len(lines):
         lineno, body = need("end of file")
         raise MtabSyntaxError(f"unexpected trailing content {body!r}", lineno)
-    return MtabDocument(version="mtab v1", n=n, id=ident, labels=labels,
-                        rows=tuple(rows), inv=inv)
+    return MtabDocument(n=n, id=ident, labels=labels, rows=tuple(rows), inv=inv)
 
 
 def parse_mtab(text: str) -> FiniteMonoid:
@@ -164,11 +165,6 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
     if m.labels is not None:
         doc["labels"] = list(m.labels)
     return doc
-
-
-def monoid_from_json(doc: dict) -> FiniteMonoid:
-    _check_kind(doc, "monoid")
-    return _monoid(doc, "")
 
 
 def _monoid(doc: dict, where: str) -> FiniteMonoid:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .constructions import (
     clifford_reconstruction,
-    f_product,
     factor_system_from_extension,
     gluing,
     iso_f_product_crossed,
@@ -39,8 +38,6 @@ from .extension import build_canonical_extension, is_weakly_schreier
 from .inverse import (
     InverseMonoid,
     is_e_unitary,
-    is_f_inverse,
-    min_group_congruence,
     validate_inverse,
 )
 from .iso import brute_force_iso
@@ -112,8 +109,7 @@ def build_context(budget: int = SUITE_BUDGET,
             for i, gm in enumerate(enumerate_gluing_maps(g, y, budget=budget)):
                 gluing_maps.append((f"gl({gname},{yname})#{i}", gm, gluing(gm)))
     for name, aa in actions:
-        fp = f_product(aa)
-        monoids.append((f"F[{name}]", fp.monoid))
+        monoids.append((f"F[{name}]", aa.f_product.monoid))
     for name, _, gl in gluing_maps:
         monoids.append((f"Gl[{name}]", gl.monoid))
     return SuiteContext(monoids=monoids, actions=actions,
@@ -154,7 +150,7 @@ def criterion_2(ctx: SuiteContext) -> CriterionResult:
         if not is_e_unitary(m).holds:
             continue
         checked += 1
-        fres = is_f_inverse(m)
+        fres = m.f_inverse
         try:
             ws = is_weakly_schreier(build_canonical_extension(m))
         except EmptyCandidateFiber:
@@ -293,7 +289,7 @@ def criterion_6(ctx: SuiteContext) -> CriterionResult:
         if m.n > 6:
             continue
         checked += 1
-        sigma = min_group_congruence(m)
+        sigma = m.sigma
         oracle, found = sigma_by_exhaustion(m)
         if sigma.class_of != oracle:
             failures.append({"instance": name, "sigma": list(sigma.class_of),

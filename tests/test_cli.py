@@ -243,6 +243,16 @@ def test_malformed_construction_json_is_a_usage_error(what, doc, message, tmp_pa
     assert "Traceback" not in r.stderr
 
 
+def test_deeply_nested_construction_json_is_a_usage_error(tmp_path):
+    # json.loads raises RecursionError here, not JSONDecodeError.
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    r = run_cli("construct", "gluing", str(p))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "nested too deeply" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_enumerate_almost_actions_over_s3():
     from test_corpus import _almost_actions_by_exhaustion
 

@@ -165,6 +165,13 @@ def test_iso_f_product_crossed_on_examples():
         assert len(w.forward.values) == fp.monoid.n
 
 
+def test_iso_f_product_crossed_certifies_the_cached_f_product():
+    aa = z2_ch2_action()
+    fp = aa.f_product
+    assert aa.f_product is fp
+    assert iso_f_product_crossed(aa).a is fp.monoid.base
+
+
 def test_gluing_map_validation():
     g, y = cyclic_group(2), chain(2)
     assert validate_gluing_map(g, y, [0, 0]).f == (0, 0)

@@ -1,0 +1,138 @@
+"""The exit-code contract of the command line, fuzzed in-process.
+
+Every input gives 0 (all checks pass), 1 (a property verdict is false) or 2
+(input or validation error, with an ``error:`` line on stderr); no exception
+escapes ``cli_main``.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from imw.cli import cli_main
+from imw.constructions import factor_system_from_almost_action
+from imw.corpus import brandt_b2_1, m3, m7, z2_ch2_action, z2_ch2_gluing
+from imw.mtab import (
+    almost_action_to_json,
+    factor_system_to_json,
+    gluing_map_to_json,
+    serialize_mtab,
+)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err, codes):
+    assert code in codes, (code, err)
+    if code == 2:
+        assert err.startswith("error:") and not out, err
+    else:
+        assert not err, err
+
+
+_TOKEN = st.one_of(st.integers(0, 3).map(str), st.text(max_size=3))
+_LINE = st.one_of(
+    st.just("mtab v1"),
+    st.builds("n={}".format, _TOKEN),
+    st.builds("id={}".format, _TOKEN),
+    st.builds("labels={}".format, st.text(max_size=8)),
+    st.builds("inv={}".format, st.lists(_TOKEN, max_size=4).map(",".join)),
+    st.lists(_TOKEN, max_size=4).map(" ".join),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def _small_tables(draw):
+    """mtab text for an arbitrary n x n table, so that 0 and 1 occur too."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    body = "\n".join(" ".join(map(str, row)) for row in rows)
+    return f"mtab v1\nn={n}\nid={draw(st.integers(0, n - 1))}\n{body}\n"
+
+
+@st.composite
+def _edited_corpus_text(draw):
+    """A corpus table's mtab text with one span replaced by arbitrary text."""
+    text = serialize_mtab(draw(st.sampled_from([m3(), m7(), brandt_b2_1()])),
+                          include_inv=True)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 4)))
+    return text[:i] + draw(st.text(max_size=4)) + text[j:]
+
+
+MTAB_TEXT = st.one_of(st.text(), st.lists(_LINE, max_size=8).map("\n".join),
+                      _small_tables(), _edited_corpus_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(MTAB_TEXT)
+@example("mtab v1\nn=²\nid=0\n0\n")  # a digit that int() does not parse
+@example("mtab v1\nn=1\nid=0\nlabels=" + "a" * 200000 + "\n0\n")  # csv.Error
+def test_check_exit_code_on_arbitrary_mtab_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mtab"
+    path.write_text(text, encoding="utf-8")
+    _assert_contract(*_run(["check", str(path)]), codes=(0, 1, 2))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+_DOCS = {"fproduct": almost_action_to_json(z2_ch2_action()),
+         "gluing": gluing_map_to_json(z2_ch2_gluing()),
+         "crossed": factor_system_to_json(
+             factor_system_from_almost_action(z2_ch2_action()))}
+
+
+def _int_cells(value, path=()):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _int_cells(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _int_cells(v, path + (i,))
+    elif isinstance(value, int):
+        yield path
+
+
+@st.composite
+def _edited_document(draw, what):
+    """A valid construction document with one integer set to a small value,
+    or one field, possibly of a nested monoid, set to an arbitrary JSON value."""
+    doc = json.loads(json.dumps(_DOCS[what]))
+    if draw(st.booleans()):
+        *path, last = draw(st.sampled_from(list(_int_cells(doc))))
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = draw(st.integers(-1, 3))
+        return doc
+    target = doc
+    nested = sorted(k for k, v in doc.items() if isinstance(v, dict))
+    if nested and draw(st.booleans()):
+        target = doc[draw(st.sampled_from(nested))]
+    target[draw(st.sampled_from(sorted(target)))] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_DOCS)).flatmap(
+    lambda what: st.tuples(st.just(what),
+                           st.one_of(JSON_VALUES, _edited_document(what)))))
+def test_construct_exit_code_on_arbitrary_json(tmp_path_factory, case):
+    what, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_contract(*_run(["construct", what, str(path)]), codes=(0, 2))

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -28,7 +29,14 @@ from imw.inverse import (
     validate_inverse,
 )
 from imw.report import analyze
-from imw.suite import build_context, sigma_by_exhaustion
+from imw.suite import (
+    build_context,
+    criterion_1,
+    criterion_2,
+    criterion_6,
+    criterion_7,
+    sigma_by_exhaustion,
+)
 
 
 def sigma_by_union_find(m):
@@ -227,6 +235,58 @@ def test_clifford_reconstruction_computes_sigma_once_per_monoid(sigma_calls):
     clifford_reconstruction(m)
     assert sum(x is m for x in sigma_calls) == 1
     assert len({id(x) for x in sigma_calls}) == len(sigma_calls) == 2
+
+
+@pytest.fixture()
+def derivation_calls(monkeypatch):
+    """The monoids each part of E(M) -> M -> M/σ is derived for, one entry per
+    derivation, keyed by the function that derives it.
+
+    Entries are InverseMonoid objects, except for ``quotient``, whose entries
+    are the FiniteMonoid divided. Only quotients by a σ that
+    min_group_congruence returned count: not the one it takes for its own
+    group check before returning, nor those of the oracle of criterion 6.
+    Every imw module that binds one of these functions gets a counter.
+    """
+    names = ("min_group_congruence", "is_f_inverse", "idempotent_semilattice",
+             "quotient")
+    calls = {name: [] for name in names}
+    sigmas = []
+
+    def counter(name, original):
+        def counting(m, *args):
+            if name != "quotient" or any(args[0] is s for s in sigmas):
+                calls[name].append(m)
+            result = original(m, *args)
+            if name == "min_group_congruence":
+                sigmas.append(result)
+            return result
+        return counting
+
+    for name in names:
+        original = getattr(imw.inverse, name)
+        counting = counter(name, original)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("imw") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_canonical_diagram_is_derived_once_per_monoid(derivation_calls):
+    from test_acceptance import small_context
+
+    analyze(m7(), "m7")
+    ctx = small_context()
+    m = ctx.monoids[0][1]
+    clifford_reconstruction(m)
+    # small_context lacks the negatives that criteria 1 and 2 demand.
+    for criterion in (criterion_1, criterion_2, criterion_6, criterion_7):
+        assert criterion(ctx).checked == 1
+    built = derivation_calls["idempotent_semilattice"]
+    assert built[0].base == m7() and sum(x is m for x in built) == 1
+    for name, monoids in derivation_calls.items():
+        counts = Counter(id(x) for x in monoids)
+        assert len(counts) >= 4 and max(counts.values()) == 1, (name, counts)
 
 
 def test_e_unitary():
