@@ -28,8 +28,7 @@ from .corpus import DEFAULT_BUDGET, builtin_corpus, enumerate_almost_actions, \
     enumerate_gluing_maps, enumerate_inverse_monoids, enumerate_semilattices, \
     small_groups
 from .errors import ImwError, KernelMismatch, PreconditionFailed, ValidationError
-from .extension import weakly_schreier_iff_f_inverse
-from .inverse import is_clifford, validate_inverse, validate_semilattice
+from .inverse import validate_inverse, validate_semilattice
 from .iso import DEFAULT_ISO_LIMIT, brute_force_iso
 from .mtab import (
     SCHEMA_VERSION,
@@ -93,7 +92,7 @@ def cmd_extension(args) -> int:
     payload = {"schema": SCHEMA_VERSION, "instance": name}
     code = EXIT_OK
     try:
-        wsf = weakly_schreier_iff_f_inverse(inv)
+        wsf = inv.weakly_schreier
     except KernelMismatch as exc:
         payload["extension"] = None
         payload["weakly_schreier"] = False
@@ -149,7 +148,7 @@ def cmd_decompose(args) -> int:
                "reason": str(exc)}
         sys.stdout.write(to_canonical_json(msg) if args.json else f"{exc}\n")
         return EXIT_PROPERTY_FALSE
-    wsf = weakly_schreier_iff_f_inverse(inv)
+    wsf = inv.weakly_schreier
     fs, _ = factor_system_from_extension(wsf.extension, wsf.splitting)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -159,7 +158,7 @@ def cmd_decompose(args) -> int:
         "factor_system": factor_system_to_json(fs),
         "gluing_map": None,
     }
-    if is_clifford(inv).holds:
+    if inv.clifford.holds:
         payload["gluing_map"] = gluing_map_to_json(gluing_map_from_clifford(inv))
     if args.json:
         sys.stdout.write(to_canonical_json(payload))
@@ -185,6 +184,8 @@ def cmd_construct(args) -> int:
         doc = json.loads(text)
     except RecursionError:
         raise ValidationError("JSON input is nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+        raise ValidationError(f"invalid JSON input: {exc}") from None
     if args.what == "fproduct":
         built = f_product(almost_action_from_json(doc)).monoid.base
     elif args.what == "gluing":
@@ -339,9 +340,6 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: invalid JSON input: {exc}\n")
-        return EXIT_USAGE
     except (ImwError, OSError, UnicodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -23,13 +23,8 @@ from .errors import (
     NoChiWitness,
     PreconditionFailed,
 )
-from .extension import Extension, WSSplitting, weakly_schreier_iff_f_inverse
-from .inverse import (
-    InverseMonoid,
-    SemilatticeMonoid,
-    is_clifford,
-    validate_inverse,
-)
+from .extension import Extension, WSSplitting
+from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse
 from .iso import IsoWitness, verify_iso
 
 
@@ -359,9 +354,9 @@ def gluing(gm: GluingMap) -> PairMonoid:
     semi = gm.semilattice
     gl = f_product(validate_almost_action(
         gm.group, semi, [[semi.meet(fg, y) for y in range(semi.n)] for fg in gm.f]))
-    if not is_clifford(gl.monoid).holds:
+    if not gl.monoid.clifford.holds:
         raise InternalCharacterizationFailure("gluing produced a non-Clifford monoid")
-    wsf = weakly_schreier_iff_f_inverse(gl.monoid)
+    wsf = gl.monoid.weakly_schreier
     if not wsf.holds:
         raise InternalCharacterizationFailure("gluing produced a non-F-inverse monoid")
     # The report already demands that the section equals the selector.
@@ -390,9 +385,8 @@ def _certify_pairs(m: InverseMonoid, pm: PairMonoid, pos, sel) -> IsoWitness:
 
 def _recover_gluing_map(m: InverseMonoid):
     """gluing_map_from_clifford, also returning the section data it read."""
-    cres = is_clifford(m)
-    if not cres.holds:
-        raise PreconditionFailed("monoid must be Clifford", cres.witness)
+    if not m.clifford.holds:
+        raise PreconditionFailed("monoid must be Clifford", m.clifford.witness)
     pos, sel = _section_data(m)
     h = m.group_image[0]
     # The greatest elements must be closed under inversion classwise.

@@ -110,9 +110,10 @@ def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
     """Run the order route and the fiber route independently and demand agreement.
 
     This is the one place the weakly Schreier verdict of a canonical extension
-    is decided. When both routes succeed the section must pick exactly the
-    greatest element of each fiber. Raises KernelMismatch when M is not
-    E-unitary, since then there is no extension to split.
+    is decided, once per monoid as ``InverseMonoid.weakly_schreier``. When
+    both routes succeed the section must pick exactly the greatest element of
+    each fiber. Raises KernelMismatch when M is not E-unitary, since then
+    there is no extension to split.
     """
     ext = build_canonical_extension(m)
     fres = m.f_inverse
@@ -127,11 +128,10 @@ def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
     if ws != fres.holds:
         raise TheoremViolation(
             f"weakly-Schreier={ws} but F-inverse={fres.holds}")
-    if ws and splitting is not None and fres.selector is not None:
-        if splitting.s.values != fres.selector:
-            raise TheoremViolation(
-                f"section {splitting.s.values} differs from greatest-element "
-                f"selector {fres.selector}")
+    if ws and splitting.s.values != fres.selector:
+        raise TheoremViolation(
+            f"section {splitting.s.values} differs from greatest-element "
+            f"selector {fres.selector}")
     return WSFInverseReport(f_inverse=fres, extension=ext, splitting=splitting,
                             fiber_witness=fiber_witness, holds=ws)
 

@@ -3,13 +3,14 @@
 Covers unique generalized inverses, the idempotent semilattice, the natural
 partial order, the minimum group congruence, and the E-unitary / F-inverse /
 Clifford predicates with explicit counterexample witnesses. Each
-``InverseMonoid`` derives σ, its F-inverse verdict, E(M) and M/σ at most once.
+``InverseMonoid`` derives σ, E(M), M/σ and every verdict at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 from .core import (
     Congruence,
@@ -31,6 +32,9 @@ from .errors import (
     NotASemilattice,
     OrderAxiomViolation,
 )
+
+if TYPE_CHECKING:
+    from .extension import WSFInverseReport
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,21 @@ class InverseMonoid:
         return min_group_congruence(self)
 
     @cached_property
+    def e_unitary(self) -> EUnitaryResult:
+        return is_e_unitary(self)
+
+    @cached_property
     def f_inverse(self) -> FInverseResult:
         return is_f_inverse(self)
+
+    @cached_property
+    def clifford(self) -> CliffordResult:
+        return is_clifford(self)
+
+    @cached_property
+    def weakly_schreier(self) -> WSFInverseReport:  # KernelMismatch unless E-unitary
+        from .extension import weakly_schreier_iff_f_inverse
+        return weakly_schreier_iff_f_inverse(self)
 
     @cached_property
     def semilattice(self) -> tuple[SemilatticeMonoid, MonoidMap]:  # E(M) and k

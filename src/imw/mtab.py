@@ -49,7 +49,10 @@ def _parse_int(token: str, lineno: int, column: int) -> int:
     if not token.isdecimal():
         raise MtabSyntaxError(f"expected a non-negative integer, got {token!r}",
                               lineno, column)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise MtabSyntaxError("integer too long", lineno, column) from None
 
 
 def _parse_csv_ints(body: str, lineno: int, prefix: str) -> tuple[int, ...]:
@@ -169,8 +172,9 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
 
 def _monoid(doc: dict, where: str) -> FiniteMonoid:
     labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ValidationError(f"{where}labels must be a list")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(s, str) for s in labels)):
+        raise ValidationError(f"{where}labels must be a list of strings")
     return validate_monoid(_field(doc, "n", 0, where), _field(doc, "table", 2, where),
                            _field(doc, "id", 0, where), labels)
 

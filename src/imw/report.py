@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 from .core import FiniteMonoid
 from .errors import NoInverse, NonUniqueInverse, TheoremViolation
-from .extension import weakly_schreier_iff_f_inverse
-from .inverse import is_clifford, is_e_unitary, natural_order, validate_inverse
+from .inverse import natural_order, validate_inverse
 from .mtab import SCHEMA_VERSION
 
 VERDICT_NAMES = ("inverse", "e_unitary", "f_inverse", "clifford", "weakly_schreier")
@@ -69,7 +68,7 @@ def analyze(m: FiniteMonoid, name: str = "monoid") -> AnalysisReport:
         return AnalysisReport(name, m, verdicts, witnesses, None, None, None, None)
     verdicts["inverse"] = True
 
-    eu = is_e_unitary(inv)
+    eu = inv.e_unitary
     verdicts["e_unitary"] = eu.holds
     if not eu.holds:
         witnesses["e_unitary"] = {"element": eu.witness[0], "idempotent": eu.witness[1]}
@@ -80,13 +79,13 @@ def analyze(m: FiniteMonoid, name: str = "monoid") -> AnalysisReport:
         witnesses["f_inverse"] = {"sigma_class": fr.witness_class,
                                   "maximals": list(fr.witness_maximals)}
 
-    cl = is_clifford(inv)
+    cl = inv.clifford
     verdicts["clifford"] = cl.holds
     if not cl.holds:
         witnesses["clifford"] = {"idempotent": cl.witness[0], "element": cl.witness[1]}
 
     if eu.holds:
-        wsf = weakly_schreier_iff_f_inverse(inv)
+        wsf = inv.weakly_schreier
         verdicts["weakly_schreier"] = wsf.holds
         if not wsf.holds:
             h, fiber = wsf.fiber_witness

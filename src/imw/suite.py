@@ -28,18 +28,13 @@ from .corpus import (
     klein_four,
 )
 from .errors import (
-    EmptyCandidateFiber,
     ImwError,
     KernelMismatch,
     NotACongruence,
     SizeLimitExceeded,
+    TheoremViolation,
 )
-from .extension import build_canonical_extension, is_weakly_schreier
-from .inverse import (
-    InverseMonoid,
-    is_e_unitary,
-    validate_inverse,
-)
+from .inverse import InverseMonoid, validate_inverse
 from .iso import brute_force_iso
 from .mtab import SCHEMA_VERSION
 from .report import to_canonical_json
@@ -121,12 +116,14 @@ def criterion_1(ctx: SuiteContext) -> CriterionResult:
     failures = []
     negatives = []
     for name, m in ctx.monoids:
-        verdict = is_e_unitary(m).holds
+        verdict = m.e_unitary.holds
+        built = True
         try:
-            build_canonical_extension(m)
-            built = True
+            m.weakly_schreier
         except KernelMismatch:
             built = False
+        except TheoremViolation:
+            pass  # raised after the extension is built; criterion 2 records it
         if built != verdict:
             failures.append({"instance": name, "e_unitary": verdict,
                              "extension_built": built})
@@ -147,29 +144,21 @@ def criterion_2(ctx: SuiteContext) -> CriterionResult:
     checked = 0
     negatives = []
     for name, m in ctx.monoids:
-        if not is_e_unitary(m).holds:
+        if not m.e_unitary.holds:
             continue
         checked += 1
-        fres = m.f_inverse
         try:
-            ws = is_weakly_schreier(build_canonical_extension(m))
-        except EmptyCandidateFiber:
-            ws = None
-        if (ws is not None) != fres.holds:
-            failures.append({"instance": name, "f_inverse": fres.holds,
-                             "weakly_schreier": ws is not None})
+            wsf = m.weakly_schreier
+        except TheoremViolation as exc:
+            failures.append({"instance": name, "error": str(exc)})
             continue
-        if ws is None:
+        if not wsf.holds:
             negatives.append(name)
             continue
-        if ws.s.values != fres.selector:
-            failures.append({"instance": name, "error": "section != selector",
-                             "section": list(ws.s.values),
-                             "selector": list(fres.selector)})
-        if any(len(c) != 1 for c in ws.candidates):
+        sizes = [len(c) for c in wsf.splitting.candidates]
+        if any(size != 1 for size in sizes):
             failures.append({"instance": name,
-                             "error": "fiber candidate not unique",
-                             "sizes": [len(c) for c in ws.candidates]})
+                             "error": "fiber candidate not unique", "sizes": sizes})
     if "m7" not in negatives:
         failures.append({"instance": "m7", "error": "expected negative case missing"})
     return CriterionResult(
@@ -306,16 +295,14 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
     failures = []
     checked = 0
     for name, m in ctx.monoids:
-        if not is_e_unitary(m).holds:
+        if not m.e_unitary.holds:
             continue
-        ext = build_canonical_extension(m)
         try:
-            ws = is_weakly_schreier(ext)
-        except EmptyCandidateFiber:
-            continue
-        checked += 1
-        try:
-            _, w = factor_system_from_extension(ext, ws)
+            wsf = m.weakly_schreier
+            if not wsf.holds:
+                continue
+            checked += 1
+            _, w = factor_system_from_extension(wsf.extension, wsf.splitting)
             if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
         except SizeLimitExceeded:

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 import imw.constructions
+import imw.extension
 import imw.suite
 from imw.constructions import gluing
 from imw.corpus import m3, z2_ch2_action, z2_ch2_gluing
+from imw.errors import EmptyCandidateFiber
 from imw.inverse import validate_inverse
 from imw.suite import (
     SUITE_BUDGET,
@@ -153,6 +155,22 @@ def test_criterion_7_runs_the_crossed_product_check(monkeypatch):
     res = criterion_7(ctx)
     assert not res.passed and res.checked == 1
     assert [f["error"] for f in res.failures] == ["brute force found no iso"]
+
+
+def _no_section(ext):
+    raise EmptyCandidateFiber(0, ())
+
+
+def test_criteria_1_and_2_record_a_fiber_route_disagreement(monkeypatch):
+    # m3 is F-inverse, so a fiber search that always fails contradicts it.
+    ctx = small_context()
+    monkeypatch.setattr(imw.extension, "is_weakly_schreier", _no_section)
+    # The extension of m3 was built; only the negative case b2-1 is missing.
+    assert [f["instance"] for f in criterion_1(ctx).failures] == ["b2-1"]
+    res = criterion_2(ctx)
+    assert not res.passed and res.checked == 1
+    assert [f["instance"] for f in res.failures] == ["m3", "m7"]
+    assert "F-inverse=True" in res.failures[0]["error"]
 
 
 def test_criteria_3_and_4_run_their_brute_force_checks(monkeypatch):

@@ -233,7 +233,13 @@ def _action_doc():
     ("gluing", {**_gluing_doc(),
                 "group": {**_gluing_doc()["group"], "n": "2"}}, "group.n"),
     ("fproduct", {**_action_doc(), "dot": 5}, "dot must be a list of lists"),
-], ids=["missing-key", "string-n", "non-list-dot"])
+    ("gluing", {**_gluing_doc(), "group": {**_gluing_doc()["group"],
+                                           "labels": ["a", [[[]]]]}},
+     "group.labels must be a list of strings"),
+    ("gluing", {**_gluing_doc(), "group": {**_gluing_doc()["group"],
+                                           "labels": [None, "b"]}},
+     "group.labels must be a list of strings"),
+], ids=["missing-key", "string-n", "non-list-dot", "nested-list-label", "null-label"])
 def test_malformed_construction_json_is_a_usage_error(what, doc, message, tmp_path):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc), encoding="utf-8")

@@ -30,6 +30,10 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# More digits than int() converts by default (sys.get_int_max_str_digits()).
+_HUGE = "9" * 5000
+
+
 def _assert_contract(code, out, err, codes):
     assert code in codes, (code, err)
     if code == 2:
@@ -78,6 +82,7 @@ MTAB_TEXT = st.one_of(st.text(), st.lists(_LINE, max_size=8).map("\n".join),
 @given(MTAB_TEXT)
 @example("mtab v1\nn=²\nid=0\n0\n")  # a digit that int() does not parse
 @example("mtab v1\nn=1\nid=0\nlabels=" + "a" * 200000 + "\n0\n")  # csv.Error
+@example("mtab v1\nn=" + _HUGE + "\nid=0\n0\n")
 def test_check_exit_code_on_arbitrary_mtab_text(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.mtab"
     path.write_text(text, encoding="utf-8")
@@ -130,9 +135,44 @@ def _edited_document(draw, what):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_DOCS)).flatmap(
     lambda what: st.tuples(st.just(what),
-                           st.one_of(JSON_VALUES, _edited_document(what)))))
+                           st.one_of(JSON_VALUES, _edited_document(what))
+                           .map(json.dumps))))
+@example(("gluing", json.dumps({**_DOCS["gluing"], "f": "HUGE"})
+          .replace('"HUGE"', f"[0, {_HUGE}]")))  # json.loads raises ValueError
 def test_construct_exit_code_on_arbitrary_json(tmp_path_factory, case):
-    what, doc = case
+    what, text = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     _assert_contract(*_run(["construct", what, str(path)]), codes=(0, 2))
+
+
+# F-inverse, E-unitary but not F-inverse, and not E-unitary.
+CORPUS_TEXT = st.sampled_from([serialize_mtab(m) for m in (m3(), m7(), brandt_b2_1())])
+ANALYSIS_TEXT = st.one_of(MTAB_TEXT, CORPUS_TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["extension", "decompose"]), ANALYSIS_TEXT)
+def test_extension_and_decompose_exit_code_on_arbitrary_mtab_text(
+        tmp_path_factory, command, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mtab"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run([command, "--json", str(path)])
+    _assert_contract(code, out, err, codes=(0, 1, 2))
+    if code == 1:  # only for a false verdict
+        doc = json.loads(out)
+        if command == "extension":
+            assert doc["witness"]["kind"] in ("kernel_mismatch", "empty_fiber"), out
+        else:
+            assert doc["decomposable"] is False, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANALYSIS_TEXT, CORPUS_TEXT)
+def test_iso_exit_code_on_arbitrary_mtab_text(tmp_path_factory, text_a, text_b):
+    paths = [tmp_path_factory.getbasetemp() / f"fuzz-{side}.mtab" for side in "ab"]
+    for path, text in zip(paths, (text_a, text_b)):
+        path.write_text(text, encoding="utf-8")
+    code, out, err = _run(["iso", *map(str, paths)])
+    _assert_contract(code, out, err, codes=(0, 1, 2))
+    assert code != 1 or out == "not isomorphic\n", out

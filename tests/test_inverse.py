@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+import imw.extension
 import imw.inverse
 from imw.constructions import clifford_reconstruction
 from imw.core import direct_product, make_congruence, validate_monoid
@@ -33,6 +34,7 @@ from imw.suite import (
     build_context,
     criterion_1,
     criterion_2,
+    criterion_4,
     criterion_6,
     criterion_7,
     sigma_by_exhaustion,
@@ -239,24 +241,26 @@ def test_clifford_reconstruction_computes_sigma_once_per_monoid(sigma_calls):
 
 @pytest.fixture()
 def derivation_calls(monkeypatch):
-    """The monoids each part of E(M) -> M -> M/σ is derived for, one entry per
-    derivation, keyed by the function that derives it.
+    """The monoids each part of E(M) -> M -> M/σ and each verdict is derived
+    for, one entry per derivation, keyed by the function that derives it.
 
     Entries are InverseMonoid objects, except for ``quotient``, whose entries
-    are the FiniteMonoid divided. Only quotients by a σ that
-    min_group_congruence returned count: not the one it takes for its own
-    group check before returning, nor those of the oracle of criterion 6.
+    are the FiniteMonoid divided, and ``is_weakly_schreier``, whose entries
+    are the middle FiniteMonoid of the extension it splits. Only quotients by
+    a σ that min_group_congruence returned count: not the one it takes for its
+    own group check before returning, nor those of the oracle of criterion 6.
     Every imw module that binds one of these functions gets a counter.
     """
     names = ("min_group_congruence", "is_f_inverse", "idempotent_semilattice",
-             "quotient")
+             "quotient", "is_e_unitary", "is_clifford",
+             "build_canonical_extension", "is_weakly_schreier")
     calls = {name: [] for name in names}
     sigmas = []
 
     def counter(name, original):
         def counting(m, *args):
             if name != "quotient" or any(args[0] is s for s in sigmas):
-                calls[name].append(m)
+                calls[name].append(m.g_part if name == "is_weakly_schreier" else m)
             result = original(m, *args)
             if name == "min_group_congruence":
                 sigmas.append(result)
@@ -264,7 +268,7 @@ def derivation_calls(monkeypatch):
         return counting
 
     for name in names:
-        original = getattr(imw.inverse, name)
+        original = getattr(imw.inverse, name, None) or getattr(imw.extension, name)
         counting = counter(name, original)
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("imw") and getattr(module, name, None) is original:
@@ -280,13 +284,16 @@ def test_canonical_diagram_is_derived_once_per_monoid(derivation_calls):
     m = ctx.monoids[0][1]
     clifford_reconstruction(m)
     # small_context lacks the negatives that criteria 1 and 2 demand.
-    for criterion in (criterion_1, criterion_2, criterion_6, criterion_7):
+    for criterion in (criterion_1, criterion_2, criterion_4, criterion_6,
+                      criterion_7):
         assert criterion(ctx).checked == 1
     built = derivation_calls["idempotent_semilattice"]
     assert built[0].base == m7() and sum(x is m for x in built) == 1
     for name, monoids in derivation_calls.items():
         counts = Counter(id(x) for x in monoids)
-        assert len(counts) >= 4 and max(counts.values()) == 1, (name, counts)
+        # Only m7 and m3 are asked whether they are E-unitary.
+        floor = 2 if name == "is_e_unitary" else 4
+        assert len(counts) >= floor and max(counts.values()) == 1, (name, counts)
 
 
 def test_e_unitary():
