@@ -24,9 +24,9 @@ from .constructions import (
     gluing,
     gluing_map_from_clifford,
 )
-from .corpus import DEFAULT_BUDGET, builtin_corpus, enumerate_almost_actions, \
-    enumerate_gluing_maps, enumerate_inverse_monoids, enumerate_semilattices, \
-    small_groups
+from .corpus import DEFAULT_BUDGET, INVERSE_MONOID_BOUND, SEMILATTICE_BOUND, \
+    builtin_corpus, enumerate_almost_actions, enumerate_gluing_maps, \
+    enumerate_inverse_monoids, enumerate_semilattices, small_groups
 from .errors import ImwError, KernelMismatch, PreconditionFailed, ValidationError
 from .inverse import validate_inverse, validate_semilattice
 from .iso import DEFAULT_ISO_LIMIT, brute_force_iso
@@ -43,7 +43,7 @@ from .mtab import (
     serialize_mtab,
 )
 from .report import analyze, emit_report, to_canonical_json
-from .suite import SUITE_BUDGET, SUITE_ISO_LIMIT, format_suite, run_suite
+from .suite import SUITE_ISO_LIMIT, format_suite, run_suite
 
 EXIT_OK = 0
 EXIT_PROPERTY_FALSE = 1
@@ -60,7 +60,7 @@ def _resolve_budget(args) -> int:
         return args.budget
     env = os.environ.get("IMW_BUDGET")
     if env is None:
-        return args.default_budget
+        return DEFAULT_BUDGET
     try:
         return int(env)
     except ValueError:
@@ -225,14 +225,15 @@ def cmd_iso(args) -> int:
 def cmd_enumerate(args) -> int:
     budget = _resolve_budget(args)
     names = _named_structures()
+    max_n = 4 if args.max_n is None else args.max_n
     if args.kind == "semilattice":
-        bound = max(args.max_n, 6) if args.force_bound else 6
-        items = [s.base for s in enumerate_semilattices(args.max_n, bound=bound)]
+        bound = max_n if args.force_bound else SEMILATTICE_BOUND
+        items = [s.base for s in enumerate_semilattices(max_n, bound=bound)]
     elif args.kind == "inverse-monoid":
-        bound = max(args.max_n, 5) if args.force_bound else 5
-        items = [m.base for m in enumerate_inverse_monoids(args.max_n, bound=bound)]
+        bound = max_n if args.force_bound else INVERSE_MONOID_BOUND
+        items = [m.base for m in enumerate_inverse_monoids(max_n, bound=bound)]
     elif args.kind == "group":
-        items = small_groups()
+        items = [g for g in small_groups() if args.max_n is None or g.n <= args.max_n]
     elif args.kind in ("almost-action", "gluing-map"):
         if not args.group or not args.semilattice:
             raise ValidationError(f"--group and --semilattice are required "
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="machine-readable output with sorted keys")
     common.add_argument("--budget", type=int, default=None,
-                        help="search-space budget for enumerators")
+                        help="candidate rows the enumerators may try")
     common.add_argument("--max-iso-n", type=int, default=DEFAULT_ISO_LIMIT,
                         help="size cap for brute-force isomorphism search")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,46 +290,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="decide the property hierarchy for an mtab file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check, default_budget=DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("extension", parents=[common],
                        help="build the canonical extension and test the splitting")
     p.add_argument("file")
-    p.set_defaults(func=cmd_extension, default_budget=DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("decompose", parents=[common],
                        help="extract action, factor system and gluing data")
     p.add_argument("file")
-    p.set_defaults(func=cmd_decompose, default_budget=DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("construct", parents=[common],
                        help="build a monoid from a JSON construction document")
     p.add_argument("what", choices=["fproduct", "gluing", "crossed"])
     p.add_argument("file")
-    p.set_defaults(func=cmd_construct, default_budget=DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("iso", parents=[common],
                        help="search for an isomorphism between two mtab files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.set_defaults(func=cmd_iso, default_budget=DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="emit an exhaustive family of structures")
     p.add_argument("--kind", required=True,
                    choices=["semilattice", "inverse-monoid", "group",
                             "almost-action", "gluing-map"])
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--force-bound", action="store_true",
                    help="lift the default enumeration size bound (can be slow)")
     p.add_argument("--group", default=None)
     p.add_argument("--semilattice", default=None)
-    p.set_defaults(func=cmd_enumerate, default_budget=DEFAULT_BUDGET)
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("suite", parents=[common],
                        help="run the full acceptance suite")
-    p.set_defaults(func=cmd_suite, default_budget=SUITE_BUDGET,
-                   max_iso_n=SUITE_ISO_LIMIT)
+    p.set_defaults(func=cmd_suite, max_iso_n=SUITE_ISO_LIMIT)
     return parser
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .constructions import (
     AlmostAction,
@@ -264,26 +264,16 @@ def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
     return rows
 
 
-def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid,
-                             budget: int | None = None) -> Iterator[AlmostAction]:
-    """Every action table passing the three axioms, in table order.
-
-    The identity row is forced, so the a-priori space is |Y|^((|G|-1)|Y|);
-    the budget caps that number, which is compared against it before any
-    work happens. The search itself fills the other rows one group element
-    at a time with meet-preserving rows (axiom A2) and backtracks as soon as
-    axiom A3 fails on a pair (g, h) whose rows g, h and gh are all filled.
-    """
+def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
+                rows: Sequence[tuple[int, ...]], budget: int | None) -> Iterator[tuple]:
+    """Action tables with the identity row at 1 and the other rows from
+    ``rows``, filled one group element at a time, in table order. The search
+    backtracks as soon as axiom A3 fails; the budget caps the rows tried."""
     budget = DEFAULT_BUDGET if budget is None else budget
     y_n, g_n = semilattice.n, group.n
-    space = y_n ** ((g_n - 1) * y_n)
-    if space > budget:
-        raise BudgetExceeded(space, budget)
     meet = semilattice.base.table
     mul = group.table
     top = semilattice.top
-    # Axiom A2 holds row by row, so only meet-preserving rows are viable.
-    rows = _meet_endomorphisms(semilattice)
     others = [g for g in range(g_n) if g != group.id]
     # A3 at (g, h) reads the rows of g, h and gh, so it is checked at the
     # depth where the last of the three gets its row; rows left over from an
@@ -298,12 +288,17 @@ def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid
                 checks[d].append((g, h, mul[g][h]))
     dot: list[tuple[int, ...] | None] = [None] * g_n
     dot[group.id] = tuple(range(y_n))
+    tried = 0
 
-    def fill(depth: int) -> Iterator[AlmostAction]:
+    def fill(depth: int) -> Iterator[tuple]:
+        nonlocal tried
         if depth == len(others):
-            yield validate_almost_action(group, semilattice, dot)
+            yield tuple(dot)
             return
         for row in rows:
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded(tried, budget)
             dot[others[depth]] = row
             if all(dot[g][dot[h][y]] == meet[dot[gh][y]][dot[g][top]]
                    for g, h, gh in checks[depth] for y in range(y_n)):
@@ -312,23 +307,27 @@ def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid
     yield from fill(0)
 
 
+def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid,
+                             budget: int | None = None) -> Iterator[AlmostAction]:
+    """Every action table passing the three axioms, in table order. Axiom A2
+    holds row by row, so the row search draws from the meet endomorphisms."""
+    for dot in _row_search(group, semilattice, _meet_endomorphisms(semilattice),
+                           budget):
+        yield validate_almost_action(group, semilattice, dot)
+
+
 def enumerate_gluing_maps(group: FiniteMonoid, semilattice: SemilatticeMonoid,
                           budget: int | None = None) -> Iterator[GluingMap]:
-    """Every admissible f with f(1) = top, in table order."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    y_n, g_n = semilattice.n, group.n
-    space = y_n ** g_n
-    if space > budget:
-        raise BudgetExceeded(space, budget)
-    meet = semilattice.meet
-    others = [g for g in range(g_n) if g != group.id]
-    for combo in product(range(y_n), repeat=len(others)):
-        f = [semilattice.top] * g_n
-        for g, v in zip(others, combo):
-            f[g] = v
-        if all(meet(f[group.mul(g, h)], f[g]) == meet(f[g], f[h])
-               for g in range(g_n) for h in range(g_n)):
-            yield validate_gluing_map(group, semilattice, f)
+    """Every admissible f with f(1) = top, in table order.
+
+    f is admissible iff g·y = f(g) ∧ y satisfies axiom A3: f(g) ∧ f(h) ∧ y =
+    f(gh) ∧ f(g) ∧ y is the gluing condition met with y. So the row search
+    draws from the meet translations y ↦ c ∧ y (row c of the meet table), and
+    f(g) is row g at top.
+    """
+    top = semilattice.top
+    for dot in _row_search(group, semilattice, semilattice.base.table, budget):
+        yield validate_gluing_map(group, semilattice, [row[top] for row in dot])
 
 
 def enumerate_inverse_monoids(max_n: int,

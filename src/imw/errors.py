@@ -185,8 +185,8 @@ class BoundExceeded(ImwError):
 
 
 class BudgetExceeded(ImwError):
-    def __init__(self, space: int, budget: int):
-        super().__init__(f"search space {space} exceeds budget {budget}")
+    def __init__(self, tried: int, budget: int):
+        super().__init__(f"search tried {tried} candidate rows, over budget {budget}")
 
 
 # --- file formats -------------------------------------------------------------

@@ -39,7 +39,6 @@ from .iso import brute_force_iso
 from .mtab import SCHEMA_VERSION
 from .report import to_canonical_json
 
-SUITE_BUDGET = 10 ** 8  # the standard grid needs 4^12 candidate tables
 SUITE_ISO_LIMIT = 24
 
 
@@ -81,7 +80,7 @@ class SuiteContext:
     iso_limit: int = SUITE_ISO_LIMIT
 
 
-def build_context(budget: int = SUITE_BUDGET,
+def build_context(budget: int = DEFAULT_BUDGET,
                   iso_limit: int = SUITE_ISO_LIMIT) -> SuiteContext:
     monoids: list[tuple[str, InverseMonoid]] = []
     for inst in builtin_corpus():
@@ -323,7 +322,7 @@ def _run_once(budget: int, iso_limit: int) -> list[CriterionResult]:
     return [c(ctx) for c in CRITERIA]
 
 
-def run_suite(budget: int = SUITE_BUDGET,
+def run_suite(budget: int = DEFAULT_BUDGET,
               iso_limit: int = SUITE_ISO_LIMIT) -> SuiteResult:
     """Run criteria 1-7, then re-run them and compare canonical JSON bytes."""
     results = _run_once(budget, iso_limit)

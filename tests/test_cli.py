@@ -268,3 +268,25 @@ def test_enumerate_almost_actions_over_s3():
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["count"] == len(
         _almost_actions_by_exhaustion(sym3(), chain(2)))
+
+
+@pytest.mark.parametrize("max_n, orders", [("2", [1, 2]), ("0", [])])
+def test_enumerate_groups_up_to_max_n(max_n, orders):
+    r = run_cli("enumerate", "--kind", "group", "--max-n", max_n, "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["count"] == len(orders)
+    assert [item["n"] for item in doc["items"]] == orders
+
+
+def test_enumerate_almost_actions_of_s3_over_the_diamond():
+    # The a-priori space is 4^20; the search tries 3,525 rows.
+    r = run_cli("enumerate", "--kind", "almost-action",
+                "--group", "s3", "--semilattice", "d4", "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["count"] == 48
+    r = run_cli("enumerate", "--kind", "almost-action",
+                "--group", "s3", "--semilattice", "d4", "--json", "--budget", "100")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "budget" in r.stderr and "Traceback" not in r.stderr

@@ -143,6 +143,71 @@ def test_almost_action_budget():
         list(enumerate_almost_actions(klein_four(), diamond(), budget=100))
 
 
+@pytest.mark.parametrize("group, count", [(sym3(), 98), (cyclic_group(5), 18),
+                                          (cyclic_group(6), 54)],
+                         ids=["s3", "z5", "z6"])
+def test_almost_actions_beyond_grid_fit_the_default_budget(group, count):
+    # The a-priori space of s3 over a 4-element Y is 4^20; the rows tried
+    # stay in the thousands.
+    assert sum(1 for semi in enumerate_semilattices(4)
+               for _ in enumerate_almost_actions(group, semi)) == count
+
+
+def _rows_tried(group, semilattice):
+    """Candidate rows the search tries: every meet endomorphism, once below
+    each partial table (rows of 1 and the first d others) that passes A3."""
+    meet = semilattice.meet
+    top = semilattice.top
+    y_n, g_n = semilattice.n, group.n
+    rows = _meet_endomorphisms(semilattice)
+    others = [g for g in range(g_n) if g != group.id]
+    tried = 0
+    for d in range(len(others)):
+        filled = {group.id, *others[:d]}
+        for combo in product(rows, repeat=d):
+            dot = {group.id: tuple(range(y_n)), **dict(zip(others, combo))}
+            if all(dot[g][dot[h][y]] == meet(dot[group.mul(g, h)][y], dot[g][top])
+                   for g in filled for h in filled if group.mul(g, h) in filled
+                   for y in range(y_n)):
+                tried += len(rows)
+    return tried
+
+
+def test_budget_counts_the_rows_tried():
+    tried = _rows_tried(klein_four(), diamond())
+    assert tried == 775
+    assert len(list(enumerate_almost_actions(klein_four(), diamond(),
+                                             budget=tried))) == 31
+    with pytest.raises(BudgetExceeded, match="budget"):
+        list(enumerate_almost_actions(klein_four(), diamond(), budget=tried - 1))
+
+
+def _gluing_maps_by_exhaustion(group, semilattice):
+    """The maps f of the full scan over Y^(|G|-1), in scan order."""
+    meet = semilattice.meet
+    g_n = group.n
+    others = [g for g in range(g_n) if g != group.id]
+    found = []
+    for combo in product(range(semilattice.n), repeat=len(others)):
+        f = [semilattice.top] * g_n
+        for g, v in zip(others, combo):
+            f[g] = v
+        if all(meet(f[group.mul(g, h)], f[g]) == meet(f[g], f[h])
+               for g in range(g_n) for h in range(g_n)):
+            found.append(tuple(f))
+    return found
+
+
+def test_gluing_maps_match_exhaustion():
+    total = 0
+    for group in small_groups():
+        for semi in enumerate_semilattices(4):
+            got = [gm.f for gm in enumerate_gluing_maps(group, semi)]
+            assert got == _gluing_maps_by_exhaustion(group, semi)
+            total += len(got)
+    assert total == 273
+
+
 def test_gluing_map_counts():
     assert sum(1 for _ in enumerate_gluing_maps(cyclic_group(1), chain(3))) == 1
     maps = list(enumerate_gluing_maps(cyclic_group(2), chain(2)))

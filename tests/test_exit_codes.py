@@ -8,11 +8,14 @@ escapes ``cli_main``.
 import contextlib
 import io
 import json
+import os
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imw.cli import cli_main
+import imw.cli
+from imw.cli import _named_structures, cli_main
 from imw.constructions import factor_system_from_almost_action
 from imw.corpus import brandt_b2_1, m3, m7, z2_ch2_action, z2_ch2_gluing
 from imw.mtab import (
@@ -176,3 +179,90 @@ def test_iso_exit_code_on_arbitrary_mtab_text(tmp_path_factory, text_a, text_b):
     code, out, err = _run(["iso", *map(str, paths)])
     _assert_contract(code, out, err, codes=(0, 1, 2))
     assert code != 1 or out == "not isomorphic\n", out
+
+
+_NAMES = sorted(_named_structures())
+_KINDS = ["semilattice", "inverse-monoid", "group", "almost-action", "gluing-map"]
+_JUNK = st.text(max_size=4)
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def _enumerate_argv(draw):
+    """enumerate flags from the valid values plus junk. --max-n stays small
+    (inverse monoids up to 3, the rest up to 4, below both default bounds),
+    so no example starts a long search, with or without --force-bound."""
+    kind = draw(st.one_of(st.sampled_from(_KINDS), _JUNK))
+    argv = ["enumerate", "--kind", kind]
+    for flag in ("--group", "--semilattice"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.one_of(st.sampled_from(_NAMES), _JUNK))]
+    if kind == "inverse-monoid" or draw(st.booleans()):
+        cap = 3 if kind == "inverse-monoid" else 4
+        argv += ["--max-n", str(draw(st.integers(-3, cap)))]
+    if draw(st.booleans()):
+        argv += ["--budget", draw(st.one_of(st.integers().map(str), _JUNK))]
+    argv += [flag for flag in ("--force-bound", "--json") if draw(st.booleans())]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_enumerate_argv())
+@example(["enumerate", "--kind", "almost-action", "--group", "s3",
+          "--semilattice", "d4", "--budget", "100", "--json"])
+@example(["enumerate", "--kind", "group", "--max-n", "-3", "--json"])
+def test_enumerate_exit_code_on_arbitrary_flags(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 2:
+        assert not out and err, err
+    else:
+        assert not err, err
+        if "--json" in argv:
+            assert json.loads(out)["count"] >= 0
+
+
+_ENV_TEXT = st.text(st.characters(exclude_categories=("Cs",),
+                                  exclude_characters="\x00"), max_size=4)
+
+
+@st.composite
+def _refused_suite_call(draw):
+    """suite flags and IMW_BUDGET values that must be refused before the
+    suite runs: a --budget or --max-iso-n that is not an integer, or no
+    --budget and an IMW_BUDGET that is not an integer."""
+    junk = _JUNK.filter(_not_an_int)
+    flag = draw(st.sampled_from(["--budget", "--max-iso-n", "IMW_BUDGET"]))
+    if flag == "IMW_BUDGET":
+        argv, env = ["suite"], draw(_ENV_TEXT.filter(_not_an_int))
+    else:
+        argv = ["suite", f"{flag}={draw(junk)}"]
+        env = draw(st.none() | st.integers().map(str) | _ENV_TEXT)
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, env
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refused_suite_call())
+def test_suite_refuses_bad_flags_before_running(case):
+    argv, env = case
+
+    def no_run(**kwargs):
+        raise AssertionError("the suite ran despite a refused flag")
+
+    with mock.patch.object(imw.cli, "run_suite", no_run), mock.patch.dict(os.environ):
+        os.environ.pop("IMW_BUDGET", None)
+        if env is not None:
+            os.environ["IMW_BUDGET"] = env
+        code, out, err = _run(argv)
+    assert code == 2 and not out, (code, out)
+    assert err and "Traceback" not in err, err
