@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .constructions import (
     AlmostAction,
@@ -24,7 +24,7 @@ from .constructions import (
 from .core import FiniteMonoid, is_group, validate_monoid
 from .errors import BoundExceeded, BudgetExceeded, NoInverse, NonUniqueInverse
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse, validate_semilattice
-from .iso import brute_force_iso, element_profile
+from .iso import canonical_table
 
 DEFAULT_BUDGET = 10 ** 7
 SEMILATTICE_BOUND = 6
@@ -180,8 +180,17 @@ def small_groups() -> list[FiniteMonoid]:
 # --- enumerators -----------------------------------------------------------
 
 
-def _dedup_key(m: FiniteMonoid) -> tuple:
-    return tuple(sorted(element_profile(m, x) for x in range(m.n)))
+def _isomorph_free(max_n: int, bound: int, of_size: Callable[[int], Iterator]) -> Iterator:
+    """Size by size, the first structure from ``of_size`` per canonical table."""
+    if max_n > bound:
+        raise BoundExceeded(max_n, bound)
+    for n in range(1, max_n + 1):
+        seen: set[tuple] = set()
+        for s in of_size(n):
+            key = canonical_table(s.base)
+            if key not in seen:
+                seen.add(key)
+                yield s
 
 
 def enumerate_semilattices(max_n: int,
@@ -189,19 +198,9 @@ def enumerate_semilattices(max_n: int,
     """All semilattice monoids of size 1..max_n up to isomorphism.
 
     Enumerates strict-order matrices below a fixed top, keeps those where
-    every pair has a meet, and deduplicates with the brute-force oracle.
+    every pair has a meet, and keeps the first of each canonical table.
     """
-    if max_n > bound:
-        raise BoundExceeded(max_n, bound)
-    for n in range(1, max_n + 1):
-        kept: list[tuple[tuple, FiniteMonoid]] = []
-        for semi in _semilattices_of_size(n):
-            key = _dedup_key(semi.base)
-            if any(k == key and brute_force_iso(semi.base, prev) is not None
-                   for k, prev in kept):
-                continue
-            kept.append((key, semi.base))
-            yield semi
+    yield from _isomorph_free(max_n, bound, _semilattices_of_size)
 
 
 def _semilattices_of_size(n: int) -> Iterator[SemilatticeMonoid]:
@@ -337,30 +336,22 @@ def enumerate_inverse_monoids(max_n: int,
     Backtracks over Cayley tables with the identity row and column fixed,
     pruning by associativity on every fully determined triple (plus the
     commuting-idempotents law, which any inverse monoid must satisfy), then
-    filters by the inverse validator and deduplicates.
+    filters by the inverse validator and keeps the first per canonical table.
     """
-    if max_n > bound:
-        raise BoundExceeded(max_n, bound)
-    for n in range(1, max_n + 1):
-        kept: list[tuple[tuple, FiniteMonoid]] = []
-        for table in _monoid_tables(n):
-            try:
-                inv = validate_inverse(validate_monoid(n, table, 0))
-            except (NoInverse, NonUniqueInverse):
-                continue
-            key = _dedup_key(inv.base)
-            if any(k == key and brute_force_iso(inv.base, prev) is not None
-                   for k, prev in kept):
-                continue
-            kept.append((key, inv.base))
-            yield inv
+    yield from _isomorph_free(max_n, bound, _inverse_monoids_of_size)
+
+
+def _inverse_monoids_of_size(n: int) -> Iterator[InverseMonoid]:
+    for table in _monoid_tables(n):
+        try:
+            inv = validate_inverse(validate_monoid(n, table, 0))
+        except (NoInverse, NonUniqueInverse):
+            continue
+        yield inv
 
 
 def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
     """Complete associative tables with identity 0, in lexicographic order."""
-    if n == 1:
-        yield [[0]]
-        return
     t = [[-1] * n for _ in range(n)]
     for j in range(n):
         t[0][j] = j

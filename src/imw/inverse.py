@@ -91,7 +91,6 @@ class SemilatticeMonoid:
     """Commutative idempotent monoid; multiplication is meet, identity is top."""
 
     base: FiniteMonoid
-    order: tuple[tuple[bool, ...], ...]  # order[x][y] iff x <= y
 
     @property
     def n(self) -> int:
@@ -105,7 +104,7 @@ class SemilatticeMonoid:
         return self.base.table[x][y]
 
     def leq(self, x: int, y: int) -> bool:
-        return self.order[x][y]
+        return self.base.table[x][y] == x
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,7 @@ def validate_semilattice(m: FiniteMonoid) -> SemilatticeMonoid:
         for y in range(m.n):
             if m.mul(x, y) != m.mul(y, x):
                 raise NotASemilattice("not commutative", (x, y))
-    order = tuple(tuple(m.mul(x, y) == x for y in range(m.n)) for x in range(m.n))
-    for x in range(m.n):
-        if not order[x][m.id]:
-            raise NotASemilattice("identity is not the top", x)
-    return SemilatticeMonoid(base=m, order=order)
+    return SemilatticeMonoid(base=m)
 
 
 def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidMap]:

@@ -1,13 +1,14 @@
 """Certified isomorphism checking.
 
 ``verify_iso`` confirms an explicitly given pair of maps; ``brute_force_iso``
-searches for one from scratch and is the independent oracle the construction
-theorems are checked against.
+searches for one from scratch and is the independent oracle that the theorems
+and ``canonical_table``, a complete isomorphism invariant, are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, permutations, product
 from typing import Sequence
 
 from .core import FiniteMonoid, MonoidMap, make_monoid_map
@@ -53,6 +54,20 @@ def element_profile(m: FiniteMonoid, x: int) -> tuple[bool, int, int, int]:
     geninv = sum(1 for y in range(m.n)
                  if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y)
     return (m.is_idempotent(x), index, period, geninv)
+
+
+def canonical_table(m: FiniteMonoid) -> tuple[tuple[int, ...], ...]:
+    """Least relabelling of m's table by an order with the identity first and the
+    other elements sorted by profile, over all orders within each profile. Equal
+    iff isomorphic, since isomorphisms fix the identity and keep profiles."""
+    others = sorted((element_profile(m, x), x) for x in range(m.n) if x != m.id)
+    blocks = [[x for _, x in block] for _, block in groupby(others, key=lambda px: px[0])]
+    tables = []
+    for block_orders in product(*map(permutations, blocks)):
+        order = [m.id, *chain.from_iterable(block_orders)]
+        pos = {x: i for i, x in enumerate(order)}
+        tables.append(tuple(tuple(pos[m.table[x][y]] for y in order) for x in order))
+    return min(tables)
 
 
 def _search(a: FiniteMonoid, b: FiniteMonoid,

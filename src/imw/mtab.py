@@ -146,8 +146,8 @@ def serialize_mtab(m: FiniteMonoid, include_inv: bool = False,
     out.append(f"n={m.n}")
     out.append(f"id={m.id}")
     if m.labels is not None:
-        if any("#" in lab or "\n" in lab for lab in m.labels):
-            raise ValidationError("labels may not contain '#' or newlines")
+        if any("#" in lab or "".join(lab.splitlines()) != lab for lab in m.labels):
+            raise ValidationError("labels may not contain '#' or line breaks")
         buf = io.StringIO()
         csv.writer(buf, lineterminator="").writerow(m.labels)
         out.append("labels=" + buf.getvalue())

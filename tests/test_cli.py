@@ -249,6 +249,21 @@ def test_malformed_construction_json_is_a_usage_error(what, doc, message, tmp_pa
     assert "Traceback" not in r.stderr
 
 
+def test_gluing_with_a_carriage_return_label(tmp_path):
+    # The mtab text would split the label line in two, so it is refused; the
+    # JSON output carries the label as it is.
+    doc = _gluing_doc()
+    doc["group"]["labels"] = ["1", "g\rh"]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    r = run_cli("construct", "gluing", str(p))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error:") and "line breaks" in r.stderr
+    r = run_cli("construct", "gluing", str(p), "--json")
+    assert r.returncode == 0
+    assert "g\rh" in "".join(json.loads(r.stdout)["labels"])
+
+
 def test_deeply_nested_construction_json_is_a_usage_error(tmp_path):
     # json.loads raises RecursionError here, not JSONDecodeError.
     p = tmp_path / "deep.json"

@@ -67,9 +67,9 @@ def test_semilattice_counts():
     assert sum(1 for _ in enumerate_semilattices(1)) == 1
     assert sum(1 for _ in enumerate_semilattices(2)) == 2
     by_size = {}
-    for s in enumerate_semilattices(5):
+    for s in enumerate_semilattices(6):
         by_size[s.n] = by_size.get(s.n, 0) + 1
-    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5}
+    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}  # OEIS A006966
 
 
 def test_semilattice_size4_includes_chain_and_diamond():
@@ -228,6 +228,21 @@ def test_inverse_monoid_counts():
         by_size[m.n] = by_size.get(m.n, 0) + 1
     # Regression values computed by this enumerator.
     assert by_size == {1: 1, 2: 2, 3: 4, 4: 11}
+
+
+def test_hierarchy_counts_up_to_five():
+    # The README's note on m7 as far as n = 5. F-inverse implies E-unitary, so
+    # equal counts mean every E-unitary class is F-inverse, and Clifford too.
+    # n = 6 (1, 2, 3, 7, 12, 33) takes the full table search, about 1,000 s.
+    counts = {key: [0] * 5 for key in ("inverse", "e_unitary", "f_inverse",
+                                       "f_inverse_clifford")}
+    for m in enumerate_inverse_monoids(5):
+        counts["inverse"][m.n - 1] += 1
+        counts["e_unitary"][m.n - 1] += m.e_unitary.holds
+        counts["f_inverse"][m.n - 1] += m.f_inverse.holds
+        counts["f_inverse_clifford"][m.n - 1] += m.f_inverse.holds and m.clifford.holds
+    assert counts == {"inverse": [1, 2, 4, 11, 27], "e_unitary": [1, 2, 3, 7, 12],
+                      "f_inverse": [1, 2, 3, 7, 12], "f_inverse_clifford": [1, 2, 3, 7, 12]}
 
 
 def test_inverse_monoid_bound():

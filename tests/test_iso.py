@@ -1,13 +1,22 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imw.core import direct_product, validate_monoid
-from imw.corpus import chain, cyclic_group, klein_four, m3, sym3, trivial_monoid
+from imw.corpus import (
+    chain,
+    cyclic_group,
+    enumerate_inverse_monoids,
+    enumerate_semilattices,
+    klein_four,
+    m3,
+    sym3,
+    trivial_monoid,
+)
 from imw.errors import NotHomomorphism, SizeLimitExceeded
-from imw.iso import brute_force_iso, verify_iso
+from imw.iso import brute_force_iso, canonical_table, verify_iso
 
 
 def test_identity_witness():
@@ -108,3 +117,35 @@ def test_witnesses_verify(a, b):
     if w is not None:
         # verify_iso accepts exactly what the search emits.
         verify_iso(a, b, list(w.forward.values), list(w.backward.values))
+
+
+ENUMERATED = [s.base for s in enumerate_semilattices(5)] \
+    + [m.base for m in enumerate_inverse_monoids(4)]
+
+
+def test_canonical_table_decides_isomorphism():
+    # brute_force_iso is the oracle. Every semilattice element has the same
+    # profile, so the profiles alone cannot tell the enumerated classes apart.
+    for a in SMALL + ENUMERATED:
+        for b in SMALL + ENUMERATED:
+            same = canonical_table(a) == canonical_table(b)
+            assert same == (brute_force_iso(a, b) is not None), (a.table, b.table)
+
+
+def _relabel(m, perm):
+    """The copy of m in which element x is called perm[x]."""
+    table = [[0] * m.n for _ in range(m.n)]
+    for x in range(m.n):
+        for y in range(m.n):
+            table[perm[x]][perm[y]] = perm[m.mul(x, y)]
+    return validate_monoid(m.n, table, perm[m.id])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL + ENUMERATED)
+       .flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m.n)))))
+@example((sym3(), [3, 0, 1, 2, 5, 4]))  # the identity 0 moves to 3
+def test_canonical_table_ignores_relabelling(case):
+    m, perm = case
+    assert canonical_table(_relabel(m, perm)) == canonical_table(m)
+    assert canonical_table(m)[0] == tuple(range(m.n))  # the identity comes first

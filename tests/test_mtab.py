@@ -100,6 +100,22 @@ def test_round_trip_labels_with_commas():
     assert doc.inv is not None and doc.labels is not None
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_labels_with_any_line_break_are_refused(brk):
+    # parse_mtab splits lines wherever str.splitlines does.
+    from imw.core import validate_monoid
+    m = validate_monoid(2, [[0, 1], [1, 1]], 0, ["1", f"e{brk}f"])
+    with pytest.raises(ValidationError, match="line breaks"):
+        serialize_mtab(m)
+
+
+def test_empty_labels_round_trip():
+    from imw.core import validate_monoid
+    m = validate_monoid(2, [[0, 1], [1, 1]], 0, ["", ""])
+    assert parse_mtab(serialize_mtab(m)) == m
+
+
 def test_json_documents_round_trip():
     aa = z2_ch2_action()
     assert almost_action_from_json(almost_action_to_json(aa)) == aa
