@@ -4,15 +4,14 @@ Exit codes: 0 = all requested checks pass, 1 = a property verdict is false
 (the witness is printed), 2 = input or validation error. Being inverse is a
 verdict for ``check``, which exits 1 with a witness on a non-inverse table,
 but a precondition for ``extension`` and ``decompose``, which exit 2 on one.
-The IMW_BUDGET environment variable overrides the default search budget;
---budget beats both.
+Every command takes ``--json``; ``enumerate`` also takes ``--budget`` and
+``iso`` takes ``--max-iso-n``. A flag a command does not read is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,10 +23,10 @@ from .constructions import (
     gluing,
     gluing_map_from_clifford,
 )
-from .corpus import DEFAULT_BUDGET, INVERSE_MONOID_BOUND, SEMILATTICE_BOUND, \
-    builtin_corpus, enumerate_almost_actions, enumerate_gluing_maps, \
-    enumerate_inverse_monoids, enumerate_semilattices, small_groups
-from .errors import ImwError, KernelMismatch, PreconditionFailed, ValidationError
+from .corpus import DEFAULT_BUDGET, builtin_corpus, enumerate_almost_actions, \
+    enumerate_gluing_maps, enumerate_inverse_monoids, enumerate_semilattices, small_groups
+from .errors import BoundExceeded, ImwError, KernelMismatch, PreconditionFailed, \
+    ValidationError
 from .inverse import validate_inverse, validate_semilattice
 from .iso import DEFAULT_ISO_LIMIT, brute_force_iso
 from .mtab import (
@@ -43,28 +42,20 @@ from .mtab import (
     serialize_mtab,
 )
 from .report import analyze, emit_report, to_canonical_json
-from .suite import SUITE_ISO_LIMIT, format_suite, run_suite
+from .suite import format_suite, run_suite
 
 EXIT_OK = 0
 EXIT_PROPERTY_FALSE = 1
 EXIT_USAGE = 2
 
+# Largest --max-n each table enumerator accepts without --force-bound.
+SEMILATTICE_BOUND = 6
+INVERSE_MONOID_BOUND = 5
+
 
 def _read_monoid(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return parse_mtab(text)
-
-
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("IMW_BUDGET")
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"IMW_BUDGET must be an integer, got {env!r}") from None
 
 
 def _named_structures():
@@ -223,15 +214,16 @@ def cmd_iso(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    budget = _resolve_budget(args)
     names = _named_structures()
     max_n = 4 if args.max_n is None else args.max_n
+    bound = {"semilattice": SEMILATTICE_BOUND,
+             "inverse-monoid": INVERSE_MONOID_BOUND}.get(args.kind)
+    if bound is not None and max_n > bound and not args.force_bound:
+        raise BoundExceeded(max_n, bound)
     if args.kind == "semilattice":
-        bound = max_n if args.force_bound else SEMILATTICE_BOUND
-        items = [s.base for s in enumerate_semilattices(max_n, bound=bound)]
+        items = [s.base for s in enumerate_semilattices(max_n)]
     elif args.kind == "inverse-monoid":
-        bound = max_n if args.force_bound else INVERSE_MONOID_BOUND
-        items = [m.base for m in enumerate_inverse_monoids(max_n, bound=bound)]
+        items = [m.base for m in enumerate_inverse_monoids(max_n)]
     elif args.kind == "group":
         items = [g for g in small_groups() if args.max_n is None or g.n <= args.max_n]
     elif args.kind in ("almost-action", "gluing-map"):
@@ -249,10 +241,10 @@ def cmd_enumerate(args) -> int:
             y = validate_semilattice(y)
         if args.kind == "almost-action":
             docs = [almost_action_to_json(aa)
-                    for aa in enumerate_almost_actions(g, y, budget=budget)]
+                    for aa in enumerate_almost_actions(g, y, budget=args.budget)]
         else:
             docs = [gluing_map_to_json(gm)
-                    for gm in enumerate_gluing_maps(g, y, budget=budget)]
+                    for gm in enumerate_gluing_maps(g, y, budget=args.budget)]
         sys.stdout.write(to_canonical_json(
             {"schema": SCHEMA_VERSION, "count": len(docs), "items": docs}))
         return EXIT_OK
@@ -270,7 +262,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    result = run_suite(budget=_resolve_budget(args), iso_limit=args.max_iso_n)
+    result = run_suite()
     sys.stdout.write(format_suite(result, "json" if args.json else "human"))
     return EXIT_OK if result.all_passed else EXIT_PROPERTY_FALSE
 
@@ -281,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output with sorted keys")
-    common.add_argument("--budget", type=int, default=None,
-                        help="candidate rows the enumerators may try")
-    common.add_argument("--max-iso-n", type=int, default=DEFAULT_ISO_LIMIT,
-                        help="size cap for brute-force isomorphism search")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -312,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for an isomorphism between two mtab files")
     p.add_argument("file_a")
     p.add_argument("file_b")
+    p.add_argument("--max-iso-n", type=int, default=DEFAULT_ISO_LIMIT,
+                   help="size cap for brute-force isomorphism search")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("enumerate", parents=[common],
@@ -324,11 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lift the default enumeration size bound (can be slow)")
     p.add_argument("--group", default=None)
     p.add_argument("--semilattice", default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="candidate rows the almost-action and gluing-map searches may try")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("suite", parents=[common],
                        help="run the full acceptance suite")
-    p.set_defaults(func=cmd_suite, max_iso_n=SUITE_ISO_LIMIT)
+    p.set_defaults(func=cmd_suite)
     return parser
 
 

@@ -73,6 +73,7 @@ class CrossedProduct:
 
     monoid: FiniteMonoid
     elements: tuple[tuple[int, int], ...]  # (h, class id under sim[h])
+    reps: tuple[int, ...]  # the least member n of each element's class
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
@@ -297,7 +298,8 @@ def crossed_product(fs: FactorSystem) -> CrossedProduct:
     labels = [f"([{fs.n_part.label(members[(h, c)][0])}],{fs.h_part.label(h)})"
               for (h, c) in elements]
     monoid = validate_monoid(len(elements), table, ident, labels)
-    return CrossedProduct(monoid=monoid, elements=tuple(elements))
+    return CrossedProduct(monoid=monoid, elements=tuple(elements),
+                          reps=tuple(members[e][0] for e in elements))
 
 
 def iso_f_product_crossed(aa: AlmostAction) -> IsoWitness:
@@ -311,12 +313,8 @@ def iso_f_product_crossed(aa: AlmostAction) -> IsoWitness:
     xp = crossed_product(fs)
     semi = aa.semilattice
     forward = [xp.index[(g, fs.sim[g][y])] for (y, g) in fp.pairs]
-    reps: dict[tuple[int, int], int] = {}
-    for y in range(semi.n):
-        for g in range(aa.group.n):
-            reps.setdefault((g, fs.sim[g][y]), y)
-    backward = [fp.index[(semi.meet(reps[(g, c)], aa.dot[g][semi.top]), g)]
-                for (g, c) in xp.elements]
+    backward = [fp.index[(semi.meet(y, aa.dot[g][semi.top]), g)]
+                for (g, _), y in zip(xp.elements, xp.reps)]
     return verify_iso(fp.monoid.base, xp.monoid, forward, backward)
 
 
@@ -449,13 +447,16 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting) \
     g_mon, h_mon, n_mon = ext.g_part, ext.h_part, ext.n_part
     k, s, q = ext.k.values, ws.s.values, ext.q.values
     sim = [[g_mon.mul(k[n], s[h]) for n in range(n_mon.n)] for h in range(h_mon.n)]
+    # least[h][g]: the least n with k(n)·s(h) = g.
+    least: list[dict[int, int]] = [{} for _ in range(h_mon.n)]
+    for h, row in enumerate(sim):
+        for n, g in enumerate(row):
+            least[h].setdefault(g, n)
     act = []
     for h in range(h_mon.n):
         row = []
         for n in range(n_mon.n):
-            target = g_mon.mul(s[h], k[n])
-            cand = next((np for np in range(n_mon.n)
-                         if g_mon.mul(k[np], s[h]) == target), None)
+            cand = least[h].get(g_mon.mul(s[h], k[n]))
             if cand is None:
                 raise NoActionWitness(h, n)
             row.append(cand)
@@ -464,24 +465,17 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting) \
     for h1 in range(h_mon.n):
         row = []
         for h2 in range(h_mon.n):
-            target = g_mon.mul(s[h1], s[h2])
-            h12 = h_mon.mul(h1, h2)
-            cand = next((n for n in range(n_mon.n)
-                         if g_mon.mul(k[n], s[h12]) == target), None)
+            cand = least[h_mon.mul(h1, h2)].get(g_mon.mul(s[h1], s[h2]))
             if cand is None:
                 raise NoChiWitness(h1, h2)
             row.append(cand)
         chi.append(row)
     fs = validate_factor_system(h_mon, n_mon, sim, act, chi)
     xp = crossed_product(fs)
-    rep: dict[tuple[int, int], int] = {}
-    for h in range(h_mon.n):
-        for n in range(n_mon.n):
-            rep.setdefault((h, fs.sim[h][n]), n)
-    forward = [g_mon.mul(k[rep[e]], s[e[0]]) for e in xp.elements]
+    forward = [g_mon.mul(k[n], s[h]) for (h, _), n in zip(xp.elements, xp.reps)]
     backward = []
     for g in range(g_mon.n):
-        n = next((n for n in range(n_mon.n) if g_mon.mul(k[n], s[q[g]]) == g), None)
+        n = least[q[g]].get(g)
         if n is None:
             raise PreconditionFailed("splitting must be weakly Schreier", g)
         backward.append(xp.index[(q[g], fs.sim[q[g]][n])])

@@ -2,7 +2,7 @@
 
 Named instances witnessing each predicate both ways, hard-coded small groups,
 and exhaustive enumerators (semilattices, almost actions, gluing maps,
-inverse monoids) with explicit bounds and budgets. Everything emitted has
+inverse monoids); the row searches take a budget. Everything emitted has
 already passed its validator, and enumeration order is deterministic so
 counts can be pinned as regression values.
 """
@@ -22,13 +22,11 @@ from .constructions import (
     validate_gluing_map,
 )
 from .core import FiniteMonoid, is_group, validate_monoid
-from .errors import BoundExceeded, BudgetExceeded, NoInverse, NonUniqueInverse
+from .errors import BudgetExceeded, NoInverse, NonUniqueInverse
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse, validate_semilattice
 from .iso import canonical_table
 
 DEFAULT_BUDGET = 10 ** 7
-SEMILATTICE_BOUND = 6
-INVERSE_MONOID_BOUND = 5
 
 
 @dataclass(frozen=True)
@@ -180,10 +178,8 @@ def small_groups() -> list[FiniteMonoid]:
 # --- enumerators -----------------------------------------------------------
 
 
-def _isomorph_free(max_n: int, bound: int, of_size: Callable[[int], Iterator]) -> Iterator:
+def _isomorph_free(max_n: int, of_size: Callable[[int], Iterator]) -> Iterator:
     """Size by size, the first structure from ``of_size`` per canonical table."""
-    if max_n > bound:
-        raise BoundExceeded(max_n, bound)
     for n in range(1, max_n + 1):
         seen: set[tuple] = set()
         for s in of_size(n):
@@ -193,14 +189,13 @@ def _isomorph_free(max_n: int, bound: int, of_size: Callable[[int], Iterator]) -
                 yield s
 
 
-def enumerate_semilattices(max_n: int,
-                           bound: int = SEMILATTICE_BOUND) -> Iterator[SemilatticeMonoid]:
+def enumerate_semilattices(max_n: int) -> Iterator[SemilatticeMonoid]:
     """All semilattice monoids of size 1..max_n up to isomorphism.
 
     Enumerates strict-order matrices below a fixed top, keeps those where
     every pair has a meet, and keeps the first of each canonical table.
     """
-    yield from _isomorph_free(max_n, bound, _semilattices_of_size)
+    yield from _isomorph_free(max_n, _semilattices_of_size)
 
 
 def _semilattices_of_size(n: int) -> Iterator[SemilatticeMonoid]:
@@ -264,11 +259,10 @@ def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
 
 
 def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
-                rows: Sequence[tuple[int, ...]], budget: int | None) -> Iterator[tuple]:
+                rows: Sequence[tuple[int, ...]], budget: int) -> Iterator[tuple]:
     """Action tables with the identity row at 1 and the other rows from
     ``rows``, filled one group element at a time, in table order. The search
     backtracks as soon as axiom A3 fails; the budget caps the rows tried."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     y_n, g_n = semilattice.n, group.n
     meet = semilattice.base.table
     mul = group.table
@@ -307,7 +301,7 @@ def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
 
 
 def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid,
-                             budget: int | None = None) -> Iterator[AlmostAction]:
+                             budget: int = DEFAULT_BUDGET) -> Iterator[AlmostAction]:
     """Every action table passing the three axioms, in table order. Axiom A2
     holds row by row, so the row search draws from the meet endomorphisms."""
     for dot in _row_search(group, semilattice, _meet_endomorphisms(semilattice),
@@ -316,7 +310,7 @@ def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid
 
 
 def enumerate_gluing_maps(group: FiniteMonoid, semilattice: SemilatticeMonoid,
-                          budget: int | None = None) -> Iterator[GluingMap]:
+                          budget: int = DEFAULT_BUDGET) -> Iterator[GluingMap]:
     """Every admissible f with f(1) = top, in table order.
 
     f is admissible iff g·y = f(g) ∧ y satisfies axiom A3: f(g) ∧ f(h) ∧ y =
@@ -329,8 +323,7 @@ def enumerate_gluing_maps(group: FiniteMonoid, semilattice: SemilatticeMonoid,
         yield validate_gluing_map(group, semilattice, [row[top] for row in dot])
 
 
-def enumerate_inverse_monoids(max_n: int,
-                              bound: int = INVERSE_MONOID_BOUND) -> Iterator[InverseMonoid]:
+def enumerate_inverse_monoids(max_n: int) -> Iterator[InverseMonoid]:
     """All inverse monoids of size 1..max_n up to isomorphism.
 
     Backtracks over Cayley tables with the identity row and column fixed,
@@ -338,7 +331,7 @@ def enumerate_inverse_monoids(max_n: int,
     commuting-idempotents law, which any inverse monoid must satisfy), then
     filters by the inverse validator and keeps the first per canonical table.
     """
-    yield from _isomorph_free(max_n, bound, _inverse_monoids_of_size)
+    yield from _isomorph_free(max_n, _inverse_monoids_of_size)
 
 
 def _inverse_monoids_of_size(n: int) -> Iterator[InverseMonoid]:

@@ -16,7 +16,6 @@ from .core import (
     Congruence,
     FiniteMonoid,
     MonoidMap,
-    is_group,
     make_congruence,
     make_monoid_map,
     quotient,
@@ -211,7 +210,8 @@ def min_group_congruence(m: InverseMonoid) -> Congruence:
     """a ~ b iff e*a = e*b for some idempotent e; quotient is the greatest group image.
 
     The product e0 of all idempotents is the least one, and e*a = e*b forces
-    e0*a = e0*b, so the class of x is determined by e0*x.
+    e0*a = e0*b, so the class of x is determined by e0*x. The quotient of a
+    congruence is a group iff [x][inv(x)] = [1] for every x.
     """
     e0 = reduce(m.mul, m.base.idempotents(), m.id)
     try:
@@ -219,8 +219,8 @@ def min_group_congruence(m: InverseMonoid) -> Congruence:
     except NotACongruence as exc:
         raise InternalCharacterizationFailure(
             f"sigma relation is not a congruence: {exc}") from exc
-    q, _ = quotient(m.base, sigma)
-    if not is_group(q):
+    one = sigma.class_of[m.id]
+    if any(sigma.class_of[m.mul(x, m.inv[x])] != one for x in range(m.n)):
         raise InternalCharacterizationFailure("sigma quotient is not a group")
     return sigma
 

@@ -150,7 +150,11 @@ def serialize_mtab(m: FiniteMonoid, include_inv: bool = False,
             raise ValidationError("labels may not contain '#' or line breaks")
         buf = io.StringIO()
         csv.writer(buf, lineterminator="").writerow(m.labels)
-        out.append("labels=" + buf.getvalue())
+        line = "labels=" + buf.getvalue()
+        # parse_mtab strips each line, which would cut an unquoted last label.
+        if line != line.strip():
+            raise ValidationError("the last label may not end in whitespace")
+        out.append(line)
     for row in m.table:
         out.append(" ".join(str(v) for v in row))
     if include_inv:

@@ -27,8 +27,7 @@ class AnalysisReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(v for v in self.verdicts.values() if v is not None) and \
-            all(v is not None for v in self.verdicts.values())
+        return all(self.verdicts.values())
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,7 +18,6 @@ from .constructions import (
 )
 from .core import FiniteMonoid, is_group, make_congruence, quotient
 from .corpus import (
-    DEFAULT_BUDGET,
     builtin_corpus,
     cyclic_group,
     enumerate_almost_actions,
@@ -39,6 +38,7 @@ from .iso import brute_force_iso
 from .mtab import SCHEMA_VERSION
 from .report import to_canonical_json
 
+# Size cap of the brute-force cross-checks; the largest monoid they see has 16 elements.
 SUITE_ISO_LIMIT = 24
 
 
@@ -77,11 +77,9 @@ class SuiteContext:
     monoids: list  # (name, InverseMonoid): named + enumerated + constructed
     actions: list  # (name, AlmostAction) over the standard grid
     gluing_maps: list  # (name, GluingMap, its PairMonoid Gl(f)) over the standard grid
-    iso_limit: int = SUITE_ISO_LIMIT
 
 
-def build_context(budget: int = DEFAULT_BUDGET,
-                  iso_limit: int = SUITE_ISO_LIMIT) -> SuiteContext:
+def build_context() -> SuiteContext:
     monoids: list[tuple[str, InverseMonoid]] = []
     for inst in builtin_corpus():
         if inst.kind in ("monoid", "group"):
@@ -98,16 +96,15 @@ def build_context(budget: int = DEFAULT_BUDGET,
     gluing_maps = []
     for gname, g in grid_groups:
         for yname, y in grid_semis:
-            for i, aa in enumerate(enumerate_almost_actions(g, y, budget=budget)):
+            for i, aa in enumerate(enumerate_almost_actions(g, y)):
                 actions.append((f"aa({gname},{yname})#{i}", aa))
-            for i, gm in enumerate(enumerate_gluing_maps(g, y, budget=budget)):
+            for i, gm in enumerate(enumerate_gluing_maps(g, y)):
                 gluing_maps.append((f"gl({gname},{yname})#{i}", gm, gluing(gm)))
     for name, aa in actions:
         monoids.append((f"F[{name}]", aa.f_product.monoid))
     for name, _, gl in gluing_maps:
         monoids.append((f"Gl[{name}]", gl.monoid))
-    return SuiteContext(monoids=monoids, actions=actions,
-                        gluing_maps=gluing_maps, iso_limit=iso_limit)
+    return SuiteContext(monoids=monoids, actions=actions, gluing_maps=gluing_maps)
 
 
 def criterion_1(ctx: SuiteContext) -> CriterionResult:
@@ -173,7 +170,7 @@ def criterion_3(ctx: SuiteContext) -> CriterionResult:
     for name, aa in ctx.actions:
         try:
             w = iso_f_product_crossed(aa)
-            if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
+            if brute_force_iso(w.a, w.b, max_n=SUITE_ISO_LIMIT) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
         except SizeLimitExceeded:
             raise
@@ -196,7 +193,7 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
                 failures.append({"instance": name, "error": "recovered map differs",
                                  "f": list(gm.f), "recovered": list(back.f)})
                 continue
-            if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
+            if brute_force_iso(w.a, w.b, max_n=SUITE_ISO_LIMIT) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
         except SizeLimitExceeded:
             raise
@@ -302,7 +299,7 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
                 continue
             checked += 1
             _, w = factor_system_from_extension(wsf.extension, wsf.splitting)
-            if brute_force_iso(w.a, w.b, max_n=ctx.iso_limit) is None:
+            if brute_force_iso(w.a, w.b, max_n=SUITE_ISO_LIMIT) is None:
                 failures.append({"instance": name, "error": "brute force found no iso"})
         except SizeLimitExceeded:
             raise
@@ -317,19 +314,18 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
             criterion_5, criterion_6, criterion_7]
 
 
-def _run_once(budget: int, iso_limit: int) -> list[CriterionResult]:
-    ctx = build_context(budget=budget, iso_limit=iso_limit)
+def _run_once() -> list[CriterionResult]:
+    ctx = build_context()
     return [c(ctx) for c in CRITERIA]
 
 
-def run_suite(budget: int = DEFAULT_BUDGET,
-              iso_limit: int = SUITE_ISO_LIMIT) -> SuiteResult:
+def run_suite() -> SuiteResult:
     """Run criteria 1-7, then re-run them and compare canonical JSON bytes."""
-    results = _run_once(budget, iso_limit)
+    results = _run_once()
     first = to_canonical_json(
         {"criteria": [c.to_json_dict() for c in results]})
     second = to_canonical_json(
-        {"criteria": [c.to_json_dict() for c in _run_once(budget, iso_limit)]})
+        {"criteria": [c.to_json_dict() for c in _run_once()]})
     results.append(CriterionResult(
         8, "two consecutive runs are byte-identical",
         passed=first == second, checked=2,

@@ -11,11 +11,10 @@ import imw.constructions
 import imw.extension
 import imw.suite
 from imw.constructions import gluing
-from imw.corpus import DEFAULT_BUDGET, m3, z2_ch2_action, z2_ch2_gluing
+from imw.corpus import m3, z2_ch2_action, z2_ch2_gluing
 from imw.errors import EmptyCandidateFiber
 from imw.inverse import validate_inverse
 from imw.suite import (
-    SUITE_ISO_LIMIT,
     SuiteContext,
     build_context,
     criterion_1,
@@ -30,7 +29,7 @@ from imw.suite import (
 
 @pytest.fixture(scope="module")
 def ctx():
-    return build_context(budget=DEFAULT_BUDGET, iso_limit=SUITE_ISO_LIMIT)
+    return build_context()
 
 
 def _report(result):

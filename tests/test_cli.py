@@ -141,19 +141,6 @@ def test_enumerate_requires_group_for_actions():
     assert r.returncode == 2
 
 
-def test_budget_env_variable():
-    r = run_cli("enumerate", "--kind", "almost-action",
-                "--group", "klein", "--semilattice", "d4",
-                env={"IMW_BUDGET": "100"})
-    assert r.returncode == 2
-    assert "budget" in r.stderr.lower()
-    # An explicit flag beats the environment.
-    r = run_cli("enumerate", "--kind", "almost-action",
-                "--group", "klein", "--semilattice", "d4",
-                "--budget", "100000000", env={"IMW_BUDGET": "100"})
-    assert r.returncode == 0
-
-
 def test_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
@@ -179,31 +166,58 @@ def test_exit_code_contract_over_builtin_corpus(tmp_path):
         assert r.returncode == expected, inst.name
 
 
-def test_budget_env_not_an_integer():
-    r = run_cli("enumerate", "--kind", "almost-action",
-                "--group", "z2", "--semilattice", "ch2", env={"IMW_BUDGET": "abc"})
-    assert r.returncode == 2
-    assert "IMW_BUDGET" in r.stderr and "Traceback" not in r.stderr
+def test_suite_refused_iso_search_is_a_usage_error(monkeypatch, capsys):
+    # A size cap below the grid's monoids refuses searches; no theorem failed.
+    import imw.suite
+    from imw.cli import cli_main
+    monkeypatch.setattr(imw.suite, "SUITE_ISO_LIMIT", 4)
+    code = cli_main(["suite"])
+    out, err = capsys.readouterr()
+    assert code == 2, out
+    assert err.startswith("error:") and "exceeds limit 4" in err
+    assert "Traceback" not in err and "FAIL" not in out
 
 
-def test_suite_budget_env_not_an_integer(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    [*command, flag, "5"]
+    for command in (["check", "F"], ["extension", "F"], ["decompose", "F"],
+                    ["construct", "gluing", "F"], ["suite"])
+    for flag in ("--budget", "--max-iso-n")
+] + [["iso", "F", "F", "--budget", "5"], ["enumerate", "--kind", "group", "--max-iso-n", "5"]],
+    ids=" ".join)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path):
+    path = tmp_path / "m3.mtab"
+    path.write_text(serialize_mtab(m3()), encoding="utf-8")
+    r = run_cli(*[str(path) if a == "F" else a for a in argv])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "unrecognized arguments" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("kind, max_n, bound", [("semilattice", "7", 6),
+                                                ("inverse-monoid", "6", 5)])
+def test_enumerate_refuses_a_size_over_the_bound_before_searching(kind, max_n, bound,
+                                                                 monkeypatch, capsys):
     import imw.cli
 
-    def no_run(**kwargs):
-        raise AssertionError("the suite ran despite an invalid budget")
+    def no_search(max_n):
+        raise AssertionError("the enumerator ran despite the bound")
 
-    monkeypatch.setattr(imw.cli, "run_suite", no_run)
-    monkeypatch.setenv("IMW_BUDGET", "abc")
-    assert imw.cli.cli_main(["suite"]) == 2
-    assert "IMW_BUDGET" in capsys.readouterr().err
+    monkeypatch.setattr(imw.cli, "enumerate_semilattices", no_search)
+    monkeypatch.setattr(imw.cli, "enumerate_inverse_monoids", no_search)
+    assert imw.cli.cli_main(["enumerate", "--kind", kind, "--max-n", max_n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: requested size {max_n} exceeds enumeration bound {bound}\n"
 
 
-def test_suite_refused_iso_search_is_a_usage_error():
-    # A size cap below the grid's monoids refuses searches; no theorem failed.
-    r = run_cli("suite", "--max-iso-n", "4")
-    assert r.returncode == 2, r.stdout
-    assert r.stderr.startswith("error:") and "exceeds limit 4" in r.stderr
-    assert "Traceback" not in r.stderr and "FAIL" not in r.stdout
+def test_force_bound_lifts_the_enumeration_bound(monkeypatch, capsys):
+    import imw.cli
+    monkeypatch.setattr(imw.cli, "SEMILATTICE_BOUND", 3)
+    argv = ["enumerate", "--kind", "semilattice", "--max-n", "4", "--json"]
+    assert imw.cli.cli_main(argv) == 2
+    assert "exceeds enumeration bound 3" in capsys.readouterr().err
+    assert imw.cli.cli_main(argv + ["--force-bound"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 5
 
 
 @pytest.mark.parametrize("command", [["check"], ["construct", "gluing"]])

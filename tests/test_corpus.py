@@ -18,7 +18,7 @@ from imw.corpus import (
     small_groups,
     sym3,
 )
-from imw.errors import BoundExceeded, BudgetExceeded
+from imw.errors import BudgetExceeded
 from imw.inverse import validate_inverse, validate_semilattice
 from imw.iso import brute_force_iso
 from imw.report import analyze
@@ -82,11 +82,6 @@ def test_semilattice_size4_includes_chain_and_diamond():
         if brute_force_iso(s.base, diamond().base) is not None:
             found_diamond = True
     assert found_chain and found_diamond
-
-
-def test_semilattice_bound():
-    with pytest.raises(BoundExceeded):
-        list(enumerate_semilattices(7))
 
 
 def test_almost_action_counts():
@@ -243,11 +238,6 @@ def test_hierarchy_counts_up_to_five():
         counts["f_inverse_clifford"][m.n - 1] += m.f_inverse.holds and m.clifford.holds
     assert counts == {"inverse": [1, 2, 4, 11, 27], "e_unitary": [1, 2, 3, 7, 12],
                       "f_inverse": [1, 2, 3, 7, 12], "f_inverse_clifford": [1, 2, 3, 7, 12]}
-
-
-def test_inverse_monoid_bound():
-    with pytest.raises(BoundExceeded):
-        list(enumerate_inverse_monoids(6))
 
 
 def test_enumerations_are_deterministic():

@@ -8,7 +8,6 @@ escapes ``cli_main``.
 import contextlib
 import io
 import json
-import os
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -186,14 +185,6 @@ _KINDS = ["semilattice", "inverse-monoid", "group", "almost-action", "gluing-map
 _JUNK = st.text(max_size=4)
 
 
-def _not_an_int(text):
-    try:
-        int(text)
-    except ValueError:
-        return True
-    return False
-
-
 @st.composite
 def _enumerate_argv(draw):
     """enumerate flags from the valid values plus junk. --max-n stays small
@@ -230,39 +221,24 @@ def test_enumerate_exit_code_on_arbitrary_flags(argv):
             assert json.loads(out)["count"] >= 0
 
 
-_ENV_TEXT = st.text(st.characters(exclude_categories=("Cs",),
-                                  exclude_characters="\x00"), max_size=4)
-
-
 @st.composite
 def _refused_suite_call(draw):
-    """suite flags and IMW_BUDGET values that must be refused before the
-    suite runs: a --budget or --max-iso-n that is not an integer, or no
-    --budget and an IMW_BUDGET that is not an integer."""
-    junk = _JUNK.filter(_not_an_int)
-    flag = draw(st.sampled_from(["--budget", "--max-iso-n", "IMW_BUDGET"]))
-    if flag == "IMW_BUDGET":
-        argv, env = ["suite"], draw(_ENV_TEXT.filter(_not_an_int))
-    else:
-        argv = ["suite", f"{flag}={draw(junk)}"]
-        env = draw(st.none() | st.integers().map(str) | _ENV_TEXT)
+    """suite flags that must be refused before the suite runs: the suite
+    reads neither --budget nor --max-iso-n, whatever their value."""
+    flag = draw(st.sampled_from(["--budget", "--max-iso-n"]))
+    argv = ["suite", f"{flag}={draw(st.one_of(st.integers().map(str), _JUNK))}"]
     if draw(st.booleans()):
         argv.append("--json")
-    return argv, env
+    return argv
 
 
 @settings(max_examples=300, deadline=None)
 @given(_refused_suite_call())
-def test_suite_refuses_bad_flags_before_running(case):
-    argv, env = case
-
-    def no_run(**kwargs):
+def test_suite_refuses_bad_flags_before_running(argv):
+    def no_run():
         raise AssertionError("the suite ran despite a refused flag")
 
-    with mock.patch.object(imw.cli, "run_suite", no_run), mock.patch.dict(os.environ):
-        os.environ.pop("IMW_BUDGET", None)
-        if env is not None:
-            os.environ["IMW_BUDGET"] = env
+    with mock.patch.object(imw.cli, "run_suite", no_run):
         code, out, err = _run(argv)
     assert code == 2 and not out, (code, out)
     assert err and "Traceback" not in err, err

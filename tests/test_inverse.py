@@ -7,7 +7,7 @@ import pytest
 import imw.extension
 import imw.inverse
 from imw.constructions import clifford_reconstruction
-from imw.core import direct_product, make_congruence, validate_monoid
+from imw.core import direct_product, is_group, make_congruence, quotient, validate_monoid
 from imw.corpus import (
     brandt_b2_1,
     chain,
@@ -19,7 +19,7 @@ from imw.corpus import (
     m7,
     sym3,
 )
-from imw.errors import NoInverse, NonUniqueInverse
+from imw.errors import InternalCharacterizationFailure, NoInverse, NonUniqueInverse
 from imw.inverse import (
     idempotent_semilattice,
     is_clifford,
@@ -31,6 +31,7 @@ from imw.inverse import (
 )
 from imw.report import analyze
 from imw.suite import (
+    all_congruences,
     build_context,
     criterion_1,
     criterion_2,
@@ -179,6 +180,30 @@ def test_sigma_matches_exhaustive_oracle(corpus_monoids):
         oracle, found = sigma_by_exhaustion(m)
         assert found >= 1, name
         assert min_group_congruence(m).class_of == oracle, name
+
+
+def test_sigma_refuses_a_quotient_that_is_not_a_group(monkeypatch):
+    # The identity congruence on a monoid that is not a group.
+    monkeypatch.setattr(imw.inverse, "make_congruence",
+                        lambda m, classes: make_congruence(m, range(m.n)))
+    for build in (m3, brandt_b2_1, m7):
+        with pytest.raises(InternalCharacterizationFailure, match="not a group"):
+            min_group_congruence(validate_inverse(build()))
+
+
+def test_group_quotient_iff_x_inv_x_is_one(corpus_monoids):
+    # The test min_group_congruence applies to σ holds for any congruence.
+    cases = [m for _, m in corpus_monoids if m.n <= 7]
+    cases += list(enumerate_inverse_monoids(4))
+    checked = 0
+    for m in cases:
+        for cong in all_congruences(m.base):
+            one = cong.class_of[m.id]
+            by_inverses = all(cong.class_of[m.mul(x, m.inv[x])] == one
+                              for x in range(m.n))
+            assert by_inverses == is_group(quotient(m.base, cong)[0])
+            checked += 1
+    assert checked == 129
 
 
 def test_sigma_matches_union_find_definition(corpus_monoids):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imw.constructions import factor_system_from_almost_action
 from imw.corpus import builtin_corpus, m3, m7, z2_ch2_action, z2_ch2_gluing
@@ -108,6 +110,26 @@ def test_labels_with_any_line_break_are_refused(brk):
     m = validate_monoid(2, [[0, 1], [1, 1]], 0, ["1", f"e{brk}f"])
     with pytest.raises(ValidationError, match="line breaks"):
         serialize_mtab(m)
+
+
+_LABEL_CHARS = st.sampled_from(list(" \t\u3000\xa0\x1f#,\"'ab\n\r\x85\u2028"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.text(_LABEL_CHARS, max_size=4), min_size=n, max_size=n)))
+@example(["1", "g "])
+@example([" "])
+@example(["\u3000"])
+def test_labels_round_trip_or_are_refused(labels):
+    from imw.core import validate_monoid
+    n = len(labels)
+    m = validate_monoid(n, [[(i + j) % n for j in range(n)] for i in range(n)], 0, labels)
+    try:
+        text = serialize_mtab(m)
+    except ValidationError:
+        return
+    assert parse_mtab(text).labels == tuple(labels)
 
 
 def test_empty_labels_round_trip():
