@@ -5,7 +5,8 @@ Exit codes: 0 = all requested checks pass, 1 = a property verdict is false
 verdict for ``check``, which exits 1 with a witness on a non-inverse table,
 but a precondition for ``extension`` and ``decompose``, which exit 2 on one.
 Every command takes ``--json``; ``enumerate`` also takes ``--budget`` and
-``iso`` takes ``--max-iso-n``. A flag a command does not read is a usage error.
+``iso`` takes ``--max-iso-n``. A flag a command, or an ``enumerate --kind``,
+does not read is a usage error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ EXIT_USAGE = 2
 # Largest --max-n each table enumerator accepts without --force-bound.
 SEMILATTICE_BOUND = 6
 INVERSE_MONOID_BOUND = 5
+
+# The enumerate flags each --kind reads; giving any other is a usage error.
+ENUMERATE_FLAGS = {"semilattice": ("max_n", "force_bound"),
+                   "inverse-monoid": ("max_n", "force_bound"), "group": ("max_n",),
+                   "almost-action": ("group", "semilattice", "budget"),
+                   "gluing-map": ("group", "semilattice", "budget")}
 
 
 def _read_monoid(path: str):
@@ -214,22 +221,15 @@ def cmd_iso(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    names = _named_structures()
-    max_n = 4 if args.max_n is None else args.max_n
-    bound = {"semilattice": SEMILATTICE_BOUND,
-             "inverse-monoid": INVERSE_MONOID_BOUND}.get(args.kind)
-    if bound is not None and max_n > bound and not args.force_bound:
-        raise BoundExceeded(max_n, bound)
-    if args.kind == "semilattice":
-        items = [s.base for s in enumerate_semilattices(max_n)]
-    elif args.kind == "inverse-monoid":
-        items = [m.base for m in enumerate_inverse_monoids(max_n)]
-    elif args.kind == "group":
-        items = [g for g in small_groups() if args.max_n is None or g.n <= args.max_n]
-    elif args.kind in ("almost-action", "gluing-map"):
+    for flag in ("max_n", "force_bound", "group", "semilattice", "budget"):
+        if getattr(args, flag) is not None and flag not in ENUMERATE_FLAGS[args.kind]:
+            raise ValidationError(f"--{flag.replace('_', '-')} is not read by "
+                                  f"--kind {args.kind}")
+    if args.kind in ("almost-action", "gluing-map"):
         if not args.group or not args.semilattice:
             raise ValidationError(f"--group and --semilattice are required "
                                   f"for kind {args.kind}")
+        names = _named_structures()
         g = names.get(args.group)
         y = names.get(args.semilattice)
         if g is None or y is None:
@@ -239,17 +239,27 @@ def cmd_enumerate(args) -> int:
             g = g.base
         if not hasattr(y, "meet"):
             y = validate_semilattice(y)
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
         if args.kind == "almost-action":
             docs = [almost_action_to_json(aa)
-                    for aa in enumerate_almost_actions(g, y, budget=args.budget)]
+                    for aa in enumerate_almost_actions(g, y, budget=budget)]
         else:
             docs = [gluing_map_to_json(gm)
-                    for gm in enumerate_gluing_maps(g, y, budget=args.budget)]
+                    for gm in enumerate_gluing_maps(g, y, budget=budget)]
         sys.stdout.write(to_canonical_json(
             {"schema": SCHEMA_VERSION, "count": len(docs), "items": docs}))
         return EXIT_OK
+    max_n = 4 if args.max_n is None else args.max_n
+    bound = {"semilattice": SEMILATTICE_BOUND,
+             "inverse-monoid": INVERSE_MONOID_BOUND}.get(args.kind)
+    if bound is not None and max_n > bound and not args.force_bound:
+        raise BoundExceeded(max_n, bound)
+    if args.kind == "semilattice":
+        items = [s.base for s in enumerate_semilattices(max_n)]
+    elif args.kind == "inverse-monoid":
+        items = [m.base for m in enumerate_inverse_monoids(max_n)]
     else:
-        raise ValidationError(f"unknown kind {args.kind!r}")
+        items = [g for g in small_groups() if args.max_n is None or g.n <= args.max_n]
     if args.json:
         sys.stdout.write(to_canonical_json(
             {"schema": SCHEMA_VERSION, "count": len(items),
@@ -310,12 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["semilattice", "inverse-monoid", "group",
                             "almost-action", "gluing-map"])
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--force-bound", action="store_true",
+    p.add_argument("--force-bound", action="store_true", default=None,
                    help="lift the default enumeration size bound (can be slow)")
     p.add_argument("--group", default=None)
     p.add_argument("--semilattice", default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="candidate rows the almost-action and gluing-map searches may try")
+    p.add_argument("--budget", type=int, default=None,
+                   help="candidate rows the almost-action and gluing-map searches "
+                        f"may try (default {DEFAULT_BUDGET})")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("suite", parents=[common],

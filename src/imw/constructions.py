@@ -9,10 +9,10 @@ since it is the independent oracle the suite and the tests check against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import FiniteMonoid, first_occurrence_classes, is_group, validate_monoid
+from .core import FiniteMonoid, first_occurrence_classes, is_group, tabulate
 from .errors import (
     AxiomViolation,
     ConditionViolation,
@@ -61,10 +61,7 @@ class PairMonoid:
 
     monoid: InverseMonoid
     pairs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.pairs)}
+    index: dict[tuple[int, int], int] = field(compare=False)  # pair -> element
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,7 @@ class CrossedProduct:
     monoid: FiniteMonoid
     elements: tuple[tuple[int, int], ...]  # (h, class id under sim[h])
     reps: tuple[int, ...]  # the least member n of each element's class
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.elements)}
+    index: dict[tuple[int, int], int] = field(compare=False)  # (h, class) -> element
 
 
 # --- almost actions and F(Y,G) ------------------------------------------------
@@ -119,21 +113,13 @@ def validate_almost_action(group: FiniteMonoid, semilattice: SemilatticeMonoid,
 def f_product(aa: AlmostAction) -> PairMonoid:
     """Pairs (y,g) with y below g*top, multiplied by (y ∧ g*z, gh)."""
     g_mon, semi = aa.group, aa.semilattice
-    meet = semi.meet
-    pairs = [(y, g) for g in range(g_mon.n) for y in range(semi.n)
-             if semi.leq(y, aa.dot[g][semi.top])]
-    pos = {p: i for i, p in enumerate(pairs)}
-    table = []
-    for (y, g) in pairs:
-        row = []
-        for (z, h) in pairs:
-            p = (meet(y, aa.dot[g][z]), g_mon.mul(g, h))
-            row.append(pos[p])
-        table.append(row)
-    labels = [f"({semi.base.label(y)},{g_mon.label(g)})" for (y, g) in pairs]
-    ident = pos[(semi.top, g_mon.id)]
-    monoid = validate_inverse(validate_monoid(len(pairs), table, ident, labels))
-    return PairMonoid(monoid=monoid, pairs=tuple(pairs))
+    meet, gmul, dot = semi.base.table, g_mon.table, aa.dot
+    pairs = tuple((y, g) for g in range(g_mon.n) for y in range(semi.n)
+                  if semi.leq(y, dot[g][semi.top]))
+    base, index = tabulate(
+        pairs, lambda p, q: (meet[p[0]][dot[p[1]][q[0]]], gmul[p[1]][q[1]]),
+        (semi.top, g_mon.id), lambda p: f"({semi.base.label(p[0])},{g_mon.label(p[1])})")
+    return PairMonoid(monoid=validate_inverse(base), pairs=pairs, index=index)
 
 
 # --- factor systems and crossed products --------------------------------------
@@ -274,32 +260,27 @@ def crossed_product(fs: FactorSystem) -> CrossedProduct:
         cls = [c for (hh, c) in members if hh == h]
         cls.sort(key=lambda c: members[(h, c)][0])
         elements.extend((h, c) for c in cls)
-    pos = {p: i for i, p in enumerate(elements)}
 
     def product_class(h: int, n: int, h2: int, n2: int) -> tuple[int, int]:
         h12 = hmul(h, h2)
         val = nmul(nmul(n, fs.act[h][n2]), fs.chi[h][h2])
         return (h12, fs.sim[h12][val])
 
-    table = []
-    for (h, c) in elements:
-        row = []
-        reps = members[(h, c)]
-        for (h2, c2) in elements:
-            reps2 = members[(h2, c2)]
-            out = product_class(h, reps[0], h2, reps2[0])
-            for a in reps:
-                for b in reps2:
-                    if product_class(h, a, h2, b) != out:
-                        raise IllDefinedMultiplication(((h, a), (h2, b)))
-            row.append(pos[out])
-        table.append(row)
-    ident = pos[(fs.h_part.id, fs.sim[fs.h_part.id][fs.n_part.id])]
-    labels = [f"([{fs.n_part.label(members[(h, c)][0])}],{fs.h_part.label(h)})"
-              for (h, c) in elements]
-    monoid = validate_monoid(len(elements), table, ident, labels)
+    def mul(e: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
+        (h, _), (h2, _) = e, e2
+        reps, reps2 = members[e], members[e2]
+        out = product_class(h, reps[0], h2, reps2[0])
+        for a in reps:
+            for b in reps2:
+                if product_class(h, a, h2, b) != out:
+                    raise IllDefinedMultiplication(((h, a), (h2, b)))
+        return out
+
+    monoid, index = tabulate(
+        elements, mul, (fs.h_part.id, fs.sim[fs.h_part.id][fs.n_part.id]),
+        lambda e: f"([{fs.n_part.label(members[e][0])}],{fs.h_part.label(e[0])})")
     return CrossedProduct(monoid=monoid, elements=tuple(elements),
-                          reps=tuple(members[e][0] for e in elements))
+                          reps=tuple(members[e][0] for e in elements), index=index)
 
 
 def iso_f_product_crossed(aa: AlmostAction) -> IsoWitness:
@@ -387,10 +368,9 @@ def _recover_gluing_map(m: InverseMonoid):
         raise PreconditionFailed("monoid must be Clifford", m.clifford.witness)
     pos, sel = _section_data(m)
     h = m.group_image[0]
-    # The greatest elements must be closed under inversion classwise.
+    # The greatest elements must be closed under inversion: c⁻¹ = q(inv(s(c))).
     for c in range(h.n):
-        cinv = next(d for d in range(h.n)
-                    if h.mul(c, d) == h.id and h.mul(d, c) == h.id)
+        cinv = m.sigma.class_of[m.inv[sel[c]]]
         if m.inv[sel[c]] != sel[cinv]:
             raise InternalCharacterizationFailure(
                 f"inv(s({c})) is not the greatest element of class {cinv}")

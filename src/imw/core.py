@@ -7,7 +7,7 @@ are cosmetic. All structures are immutable once validated and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -108,6 +108,16 @@ def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
     return FiniteMonoid(n=n, table=t, id=id, labels=lab)
 
 
+def tabulate(elements: Sequence, mul: Callable, identity, label: Callable[..., str]) \
+        -> tuple[FiniteMonoid, dict]:
+    """The monoid on ``elements``, closed under ``mul``, with element i being
+    ``elements[i]``; also the index from each element to its number."""
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[mul(x, y)] for y in elements] for x in elements]
+    labels = [label(x) for x in elements]
+    return validate_monoid(len(elements), table, index[identity], labels), index
+
+
 def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,
                     values: Sequence[int], kind: str = "homomorphism") -> MonoidMap:
     vals = tuple(int(v) for v in values)
@@ -167,41 +177,27 @@ def quotient(m: FiniteMonoid, theta: Congruence) -> tuple[FiniteMonoid, MonoidMa
     """Quotient monoid on the classes of ``theta`` plus the projection map."""
     if theta.monoid is not m and theta.monoid != m:
         raise NotACongruence("congruence belongs to a different monoid")
-    cls = theta.class_of
-    k = theta.num_classes
-    reps = [-1] * k
+    cls, t = theta.class_of, m.table
+    reps = [-1] * theta.num_classes
     for x in range(m.n):
         if reps[cls[x]] < 0:
             reps[cls[x]] = x
-    qt = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            qt[a][b] = cls[m.mul(reps[a], reps[b])]
+    rep = [reps[c] for c in cls]  # the least member of each element's class
     # Well-definedness over every representative pair, not just the chosen ones.
     for x in range(m.n):
         for y in range(m.n):
-            if cls[m.mul(x, y)] != qt[cls[x]][cls[y]]:
-                raise NotACongruence(((reps[cls[x]], reps[cls[y]]), (x, y)))
-    labels = tuple(f"[{m.label(reps[a])}]" for a in range(k))
-    q = validate_monoid(k, qt, cls[m.id], labels)
-    qmap = make_monoid_map(m, q, cls)
-    return q, qmap
+            if rep[t[x][y]] != rep[t[rep[x]][rep[y]]]:
+                raise NotACongruence(((rep[x], rep[y]), (x, y)))
+    # Class c is its least member reps[c], multiplied through the representatives.
+    q, _ = tabulate(reps, lambda x, y: rep[t[x][y]], rep[m.id], lambda x: f"[{m.label(x)}]")
+    return q, make_monoid_map(m, q, cls)
 
 
 def direct_product(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product; element (x,y) is encoded as x*b.n + y."""
-    n = a.n * b.n
-    table = [[0] * n for _ in range(n)]
-    for x1 in range(a.n):
-        for y1 in range(b.n):
-            i = x1 * b.n + y1
-            for x2 in range(a.n):
-                row = a.table[x1][x2] * b.n
-                for y2 in range(b.n):
-                    table[i][x2 * b.n + y2] = row + b.table[y1][y2]
-    labels = tuple(f"({a.label(x)},{b.label(y)})"
-                   for x in range(a.n) for y in range(b.n))
-    return validate_monoid(n, table, a.id * b.n + b.id, labels)
+    return tabulate([(x, y) for x in range(a.n) for y in range(b.n)],
+                    lambda p, q: (a.mul(p[0], q[0]), b.mul(p[1], q[1])), (a.id, b.id),
+                    lambda p: f"({a.label(p[0])},{b.label(p[1])})")[0]
 
 
 def generated_submonoid(m: FiniteMonoid, subset: Sequence[int]) \
@@ -221,17 +217,11 @@ def generated_submonoid(m: FiniteMonoid, subset: Sequence[int]) \
                     elems.add(p)
                     frontier.append(p)
     order = sorted(elems)
-    pos = {x: i for i, x in enumerate(order)}
-    table = [[pos[m.mul(x, y)] for y in order] for x in order]
-    labels = tuple(m.label(x) for x in order)
-    sub = validate_monoid(len(order), table, pos[m.id], labels)
-    emb = make_monoid_map(sub, m, order)
-    return sub, emb
+    sub, _ = tabulate(order, m.mul, m.id, m.label)
+    return sub, make_monoid_map(sub, m, order)
 
 
 def is_group(m: FiniteMonoid) -> bool:
-    """True iff every element has a two-sided inverse."""
-    for x in range(m.n):
-        if not any(m.mul(x, y) == m.id and m.mul(y, x) == m.id for y in range(m.n)):
-            return False
-    return True
+    """True iff 1 is the only idempotent: some power x^k of each x is idempotent,
+    so x^k = 1 and x^(k-1) inverts x; in a group, e*e = e forces e = 1."""
+    return m.idempotents() == [m.id]

@@ -10,7 +10,7 @@ counts can be pinned as regression values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
 from .constructions import (
@@ -21,7 +21,7 @@ from .constructions import (
     validate_almost_action,
     validate_gluing_map,
 )
-from .core import FiniteMonoid, is_group, validate_monoid
+from .core import FiniteMonoid, is_group, tabulate, validate_monoid
 from .errors import BudgetExceeded, NoInverse, NonUniqueInverse
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse, validate_semilattice
 from .iso import canonical_table
@@ -56,12 +56,9 @@ def klein_four() -> FiniteMonoid:
 
 
 def sym3() -> FiniteMonoid:
-    perms = sorted(product(range(3), repeat=3))
-    perms = [p for p in perms if sorted(p) == [0, 1, 2]]
-    pos = {p: i for i, p in enumerate(perms)}
-    table = [[pos[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
-    labels = ["".join(str(v) for v in p) for p in perms]
-    return validate_monoid(6, table, pos[(0, 1, 2)], labels)
+    perms = sorted(permutations(range(3)))
+    return tabulate(perms, lambda p, q: tuple(p[q[k]] for k in range(3)), (0, 1, 2),
+                    lambda p: "".join(str(v) for v in p))[0]
 
 
 def chain(k: int) -> SemilatticeMonoid:
@@ -110,18 +107,10 @@ def m7() -> FiniteMonoid:
     # Subsemigroup of (diamond semilattice) x| Z2 with the swap action,
     # omitting the pair (top, g); E-unitary but not F-inverse, not Clifford.
     dia = diamond()
-    swap = [0, 2, 1, 3]
+    act = ((0, 1, 2, 3), (0, 2, 1, 3))  # 1 fixes the diamond, g swaps its atoms
     pairs = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]
-    pos = {p: i for i, p in enumerate(pairs)}
-    table = []
-    for (y, h) in pairs:
-        row = []
-        for (z, k) in pairs:
-            zz = swap[z] if h == 1 else z
-            row.append(pos[(dia.meet(y, zz), h ^ k)])
-        table.append(row)
-    labels = [f"({dia.base.label(y)},{'1' if h == 0 else 'g'})" for (y, h) in pairs]
-    return validate_monoid(7, table, 0, labels)
+    return tabulate(pairs, lambda p, q: (dia.meet(p[0], act[p[1]][q[0]]), p[1] ^ q[1]),
+                    (0, 0), lambda p: f"({dia.base.label(p[0])},{'1g'[p[1]]})")[0]
 
 
 def z2_ch2_action() -> AlmostAction:

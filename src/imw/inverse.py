@@ -19,7 +19,7 @@ from .core import (
     make_congruence,
     make_monoid_map,
     quotient,
-    validate_monoid,
+    tabulate,
 )
 from .errors import (
     EquivalenceMismatch,
@@ -177,13 +177,8 @@ def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidM
             if m.mul(e, f) not in iset:
                 raise InternalCharacterizationFailure(
                     f"idempotents not closed under product at ({e},{f})")
-    pos = {e: i for i, e in enumerate(idem)}
-    table = [[pos[m.mul(e, f)] for f in idem] for e in idem]
-    labels = tuple(m.label(e) for e in idem)
-    sub = validate_monoid(len(idem), table, pos[m.id], labels)
-    semi = validate_semilattice(sub)
-    emb = make_monoid_map(sub, m.base, idem)
-    return semi, emb
+    sub, _ = tabulate(idem, m.mul, m.id, m.label)
+    return validate_semilattice(sub), make_monoid_map(sub, m.base, idem)
 
 
 def natural_order(m: InverseMonoid) -> NaturalOrder:

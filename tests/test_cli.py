@@ -210,6 +210,45 @@ def test_enumerate_refuses_a_size_over_the_bound_before_searching(kind, max_n, b
     assert err == f"error: requested size {max_n} exceeds enumeration bound {bound}\n"
 
 
+_TABLE_KINDS = ("semilattice", "inverse-monoid", "group")
+_SEARCH_KINDS = ("almost-action", "gluing-map")
+_FLAG_ARGS = {"--group": ["--group", "s3"], "--semilattice": ["--semilattice", "d4"],
+              "--budget": ["--budget", "5"], "--force-bound": ["--force-bound"],
+              "--max-n": ["--max-n", "2"]}
+
+
+@pytest.mark.parametrize("flag, kind", [
+    *((flag, kind) for flag in ("--group", "--semilattice", "--budget")
+      for kind in _TABLE_KINDS),
+    *(("--force-bound", kind) for kind in ("group",) + _SEARCH_KINDS),
+    *(("--max-n", kind) for kind in _SEARCH_KINDS),
+])
+def test_enumerate_refuses_a_flag_its_kind_does_not_read(flag, kind, monkeypatch, capsys):
+    import imw.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the enumerator ran despite a refused flag")
+
+    for name in ("enumerate_semilattices", "enumerate_inverse_monoids", "small_groups",
+                 "enumerate_almost_actions", "enumerate_gluing_maps"):
+        monkeypatch.setattr(imw.cli, name, no_search)
+    argv = ["enumerate", "--kind", kind, "--json", *_FLAG_ARGS[flag]]
+    if kind in _SEARCH_KINDS and flag not in ("--group", "--semilattice"):
+        argv += ["--group", "s3", "--semilattice", "d4"]  # the flags it requires
+    assert imw.cli.cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} is not read by --kind {kind}\n"
+
+
+def test_enumerate_group_refuses_search_flags():
+    # The group list reads neither --budget nor --group; the first one stops it.
+    r = run_cli("enumerate", "--kind", "group", "--max-n", "2", "--budget", "5",
+                "--group", "nope", "--json")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_force_bound_lifts_the_enumeration_bound(monkeypatch, capsys):
     import imw.cli
     monkeypatch.setattr(imw.cli, "SEMILATTICE_BOUND", 3)

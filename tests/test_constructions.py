@@ -150,8 +150,32 @@ def test_crossed_product_rejects_broken_relation():
                       sim=((0, 1, 1, 2),),
                       act=((0, 1, 2, 3),),
                       chi=((0,),))
-    with pytest.raises(IllDefinedMultiplication):
+    with pytest.raises(IllDefinedMultiplication) as exc:
         crossed_product(fs)
+    # Row-major over (element, element), the first representative pair that
+    # disagrees: a∧a = a against a∧b = 0 in the class {a, b}.
+    assert exc.value.witness == ((0, 1), (0, 2))
+
+
+def test_pair_and_crossed_products_carry_the_index_tabulate_built(monkeypatch):
+    import imw.constructions
+    import imw.core
+    built = []
+
+    def recording_tabulate(*args):
+        built.append(imw.core.tabulate(*args))
+        return built[-1]
+
+    monkeypatch.setattr(imw.constructions, "tabulate", recording_tabulate)
+    aa = z2_ch2_action()
+    fp = f_product(aa)
+    xp = crossed_product(factor_system_from_almost_action(aa))
+    assert fp.index is built[0][1] and xp.index is built[1][1]
+    assert fp.index == {p: i for i, p in enumerate(fp.pairs)}
+    assert xp.index == {e: i for i, e in enumerate(xp.elements)}
+    # The index is left out of == and hashing, so both stay defined.
+    again = f_product(aa)
+    assert again == fp and hash(again) == hash(fp)
 
 
 def test_iso_f_product_crossed_on_examples():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imw.core import (
+    Congruence,
     direct_product,
     generated_submonoid,
     identity_congruence,
@@ -10,10 +11,19 @@ from imw.core import (
     make_congruence,
     make_monoid_map,
     quotient,
+    tabulate,
     universal_congruence,
     validate_monoid,
 )
-from imw.corpus import chain, cyclic_group, klein_four, m3, trivial_monoid
+from imw.corpus import (
+    chain,
+    cyclic_group,
+    enumerate_inverse_monoids,
+    klein_four,
+    m3,
+    small_groups,
+    trivial_monoid,
+)
 from imw.errors import (
     IndexOutOfRange,
     NotACongruence,
@@ -64,6 +74,30 @@ def test_not_associative_witness():
         validate_monoid(3, table, 0)
     x, y, z = exc.value.witness
     assert table[table[x][y]][z] != table[x][table[y][z]]
+
+
+def has_two_sided_inverses(m):
+    """Oracle for is_group: search every element for a two-sided inverse."""
+    return all(any(m.mul(x, y) == m.id and m.mul(y, x) == m.id for y in range(m.n))
+               for x in range(m.n))
+
+
+def test_is_group_matches_the_inverse_search(corpus_monoids):
+    enumerated = [m.base for m in enumerate_inverse_monoids(5)]
+    for m in small_groups() + [m.base for _, m in corpus_monoids] + enumerated:
+        assert is_group(m) == has_two_sided_inverses(m), m.table
+    # Z1, Z2, Z3, Z4, the Klein four-group and Z5.
+    assert sum(is_group(m) for m in enumerated) == 6
+
+
+def test_tabulate_numbers_elements_in_list_order():
+    # Z2 on the strings "a" (the identity) and "b", listed as b, a.
+    m, index = tabulate(["b", "a"], lambda x, y: "a" if x == y else "b", "a", str.upper)
+    assert index == {"b": 0, "a": 1}
+    assert (m.table, m.id, m.labels) == (((1, 0), (0, 1)), 1, ("B", "A"))
+    table = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    with pytest.raises(NotAssociative):
+        tabulate(range(3), lambda x, y: table[x][y], 0, str)
 
 
 def test_bad_identity_and_range():
@@ -125,6 +159,15 @@ def test_quotient_rejects_incompatible_partition():
     m = m3()
     with pytest.raises(NotACongruence):
         make_congruence(m, [0, 1, 0])  # merges 1 and t but separates e
+
+
+def test_quotient_checks_every_pair_of_representatives():
+    # Congruence built directly, bypassing make_congruence: {1, t} is not a
+    # class, since e*1 = e and e*t = t fall in different classes.
+    m = m3()
+    with pytest.raises(NotACongruence) as exc:
+        quotient(m, Congruence(monoid=m, class_of=(0, 1, 0), num_classes=2))
+    assert exc.value.witness == ((1, 0), (1, 2))
 
 
 def test_direct_product_trivial():

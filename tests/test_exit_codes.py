@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import imw.cli
-from imw.cli import _named_structures, cli_main
+from imw.cli import ENUMERATE_FLAGS, _named_structures, cli_main
 from imw.constructions import factor_system_from_almost_action
 from imw.corpus import brandt_b2_1, m3, m7, z2_ch2_action, z2_ch2_gluing
 from imw.mtab import (
@@ -189,18 +189,28 @@ _JUNK = st.text(max_size=4)
 def _enumerate_argv(draw):
     """enumerate flags from the valid values plus junk. --max-n stays small
     (inverse monoids up to 3, the rest up to 4, below both default bounds),
-    so no example starts a long search, with or without --force-bound."""
+    so no example starts a long search, with or without --force-bound. Half
+    the examples draw only flags their kind reads, so that most of those
+    reach the enumerator instead of the refusal of a stray flag."""
     kind = draw(st.one_of(st.sampled_from(_KINDS), _JUNK))
+    stray = draw(st.booleans())
+
+    def wants(flag: str) -> bool:
+        return (stray or flag in ENUMERATE_FLAGS.get(kind, ())) and draw(st.booleans())
+
     argv = ["enumerate", "--kind", kind]
-    for flag in ("--group", "--semilattice"):
-        if draw(st.booleans()):
-            argv += [flag, draw(st.one_of(st.sampled_from(_NAMES), _JUNK))]
-    if kind == "inverse-monoid" or draw(st.booleans()):
+    for flag in ("group", "semilattice"):
+        if wants(flag):
+            argv += [f"--{flag}", draw(st.one_of(st.sampled_from(_NAMES), _JUNK))]
+    if kind == "inverse-monoid" or wants("max_n"):
         cap = 3 if kind == "inverse-monoid" else 4
         argv += ["--max-n", str(draw(st.integers(-3, cap)))]
-    if draw(st.booleans()):
+    if wants("budget"):
         argv += ["--budget", draw(st.one_of(st.integers().map(str), _JUNK))]
-    argv += [flag for flag in ("--force-bound", "--json") if draw(st.booleans())]
+    if wants("force_bound"):
+        argv.append("--force-bound")
+    if draw(st.booleans()):
+        argv.append("--json")
     return argv
 
 
@@ -212,6 +222,10 @@ def _enumerate_argv(draw):
 def test_enumerate_exit_code_on_arbitrary_flags(argv):
     code, out, err = _run(argv)
     assert code in (0, 2), (code, err)
+    reads = ENUMERATE_FLAGS.get(argv[2], ())
+    if any(a.startswith("--") and a[2:].replace("-", "_") not in reads + ("kind", "json")
+           for a in argv[1:]):
+        assert code == 2, argv
     assert "Traceback" not in err, err
     if code == 2:
         assert not out and err, err
