@@ -351,7 +351,7 @@ def _section_data(m: InverseMonoid):
     if not fres.holds:
         raise PreconditionFailed("monoid must be F-inverse",
                                  (fres.witness_class, fres.witness_maximals))
-    return {e: i for i, e in enumerate(m.semilattice[1].values)}, fres.selector
+    return m.idempotent_index, fres.selector
 
 
 def _certify_pairs(m: InverseMonoid, pm: PairMonoid, pos, sel) -> IsoWitness:

@@ -7,6 +7,7 @@ are cosmetic. All structures are immutable once validated and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -75,7 +76,12 @@ class Congruence:
 
 def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
                     labels: Sequence[str] | None = None) -> FiniteMonoid:
-    """Check closure, identity and associativity exhaustively; O(n^3)."""
+    """Check closure, identity and associativity.
+
+    Associativity is decided by Light's test in O(|A|*n^2) for a generating
+    set A; only a table that fails it is scanned triple by triple, in
+    lexicographic order, to name the first failing triple as the witness.
+    """
     if n <= 0:
         raise IndexOutOfRange("element count", n, 0)
     if len(table) != n:
@@ -94,18 +100,60 @@ def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
     for x in range(n):
         if t[id][x] != x or t[x][id] != x:
             raise NotIdentity(id, x)
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            txy = t[tx[y]]
-            ty = t[y]
-            for z in range(n):
-                if txy[z] != tx[ty[z]]:
-                    raise NotAssociative(x, y, z)
+    if not _light_associative(t, id):
+        for x in range(n):
+            tx = t[x]
+            for y in range(n):
+                txy = t[tx[y]]
+                ty = t[y]
+                for z in range(n):
+                    if txy[z] != tx[ty[z]]:
+                        raise NotAssociative(x, y, z)
     lab = tuple(str(s) for s in labels) if labels is not None else None
     if lab is not None and len(lab) != n:
         raise IndexOutOfRange("label count", len(lab), n + 1)
     return FiniteMonoid(n=n, table=t, id=id, labels=lab)
+
+
+def _generators(t: tuple[tuple[int, ...], ...], id: int) -> list[int]:
+    """A generating set, chosen greedily: elements by descending number of
+    distinct row entries, then by index, skipping those already reached;
+    the reached set grows from 1 by right multiplication with the chosen."""
+    n = len(t)
+    gens: list[int] = []
+    reached = {id}
+    for a in sorted(range(n), key=lambda a: (-len(set(t[a])), a)):
+        if len(reached) == n:
+            break
+        if a in reached:
+            continue
+        gens.append(a)
+        frontier = list(reached)
+        while frontier:
+            row = t[frontier.pop()]
+            for g in gens:
+                if row[g] not in reached:
+                    reached.add(row[g])
+                    frontier.append(row[g])
+    return gens
+
+
+def _light_associative(t: tuple[tuple[int, ...], ...], id: int) -> bool:
+    """Light's test: (x*a)*y == x*(a*y) for all x, y and each generator a.
+
+    Sound for any table with identity ``id``: the set of a that pass contains
+    1 and is closed under the table product, since for passing a and b
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y). Every element
+    reached from 1 by right multiplication with generators therefore passes.
+    """
+    for a in _generators(t, id):
+        # x_ay(row x) is the row of x*(a*y) over y; a generator exists only
+        # for n >= 2, so the getter returns a tuple to compare with row x*a.
+        x_ay = itemgetter(*t[a])
+        for tx in t:
+            if t[tx[a]] != x_ay(tx):
+                return False
+    return True
 
 
 def tabulate(elements: Sequence, mul: Callable, identity, label: Callable[..., str]) \
@@ -129,9 +177,11 @@ def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,
     if kind == "homomorphism":
         if vals[source.id] != target.id:
             raise NotHomomorphism(source.id)
+        st, tt = source.table, target.table
         for x in range(source.n):
+            sx, tvx = st[x], tt[vals[x]]
             for y in range(source.n):
-                if vals[source.mul(x, y)] != target.mul(vals[x], vals[y]):
+                if vals[sx[y]] != tvx[vals[y]]:
                     raise NotHomomorphism(x, y)
     elif kind != "function":
         raise ValueError(f"unknown map kind {kind!r}")
@@ -154,9 +204,10 @@ def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
     # the factor classes.
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
     for x in range(m.n):
+        cx, tx = canon[x], m.table[x]
         for y in range(m.n):
-            key = (canon[x], canon[y])
-            c = canon[m.mul(x, y)]
+            key = (cx, canon[y])
+            c = canon[tx[y]]
             prev = seen.get(key)
             if prev is None:
                 seen[key] = (c, x, y)

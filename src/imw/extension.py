@@ -140,7 +140,7 @@ def cosplit_retraction(m: InverseMonoid) -> Cosplitting:
     """The retraction l(x) = x*inv(x) of the kernel inclusion; homomorphy is reported, not required."""
     ext = build_canonical_extension(m)
     n_part = ext.n_part
-    pos = {e: i for i, e in enumerate(ext.k.values)}
+    pos = m.idempotent_index
     values = [pos[m.mul(x, m.inv[x])] for x in range(m.n)]
     ell = make_monoid_map(ext.g_part, n_part, values, kind="function")
     for i, e in enumerate(ext.k.values):

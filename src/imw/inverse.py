@@ -81,6 +81,10 @@ class InverseMonoid:
         return idempotent_semilattice(self)
 
     @cached_property
+    def idempotent_index(self) -> dict[int, int]:  # each idempotent e to k⁻¹(e)
+        return {e: i for i, e in enumerate(self.semilattice[1].values)}
+
+    @cached_property
     def group_image(self) -> tuple[FiniteMonoid, MonoidMap]:  # M/σ and q
         return quotient(self.base, self.sigma)
 

@@ -1,9 +1,12 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imw.core import (
     Congruence,
+    _generators,
     direct_product,
     generated_submonoid,
     identity_congruence,
@@ -16,18 +19,25 @@ from imw.core import (
     validate_monoid,
 )
 from imw.corpus import (
+    _monoid_tables,
+    _semilattices_of_size,
+    brandt_b2_1,
+    builtin_corpus,
     chain,
     cyclic_group,
     enumerate_inverse_monoids,
     klein_four,
     m3,
+    m7,
     small_groups,
+    sym3,
     trivial_monoid,
 )
 from imw.errors import (
     IndexOutOfRange,
     NotACongruence,
     NotAssociative,
+    NotHomomorphism,
     NotIdentity,
 )
 from imw.inverse import is_clifford, validate_inverse
@@ -207,3 +217,133 @@ def test_generated_submonoid():
     assert sub.n == 2 and emb.values == (0, 1)
     assert brute_force_iso(sub, chain(2).base) is not None
     assert emb.is_injective()
+
+
+# Light's test decides associativity from a generating set; these tests hold
+# it to the triple loop above, witness for witness.
+
+def _expect_oracle(table):
+    """validate_monoid on ``table`` (identity 0) agrees with assoc_failure."""
+    n = len(table)
+    expected = assoc_failure(table)
+    if expected is None:
+        m = validate_monoid(n, table, 0)
+        assert m.table == tuple(tuple(r) for r in table)
+    else:
+        with pytest.raises(NotAssociative) as exc:
+            validate_monoid(n, table, 0)
+        assert exc.value.witness == expected
+    return expected
+
+
+def _small_associative_tables():
+    """The tables of _monoid_tables(n) for 2 <= n <= 4, all associative."""
+    return [t for n in range(2, 5) for t in _monoid_tables(n)]
+
+
+def _random_table(n, cells):
+    table = [[cells[i * n + j] for j in range(n)] for i in range(n)]
+    for j in range(n):  # identity 0
+        table[0][j] = j
+        table[j][0] = j
+    return table
+
+
+def _planted_table(case):
+    base, x, y, v = case
+    table = [list(r) for r in base]
+    n = len(table)
+    x, y = 1 + x % (n - 1), 1 + y % (n - 1)  # keep the identity row and column
+    table[x][y] = v % n
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(2, 6).flatmap(lambda n: st.builds(
+        _random_table, st.just(n),
+        st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))),
+    st.builds(_planted_table, st.tuples(
+        st.sampled_from(_small_associative_tables()),
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))))
+def test_validator_witness_is_the_oracles_first_triple(table):
+    _expect_oracle(table)
+
+
+def _symmetric_inverse_monoid(k):
+    """I_k: partial bijections of k points, (f*g)(i) = g(f(i))."""
+    maps = sorted(tuple(dict(zip(dom, img)).get(i, -1) for i in range(k))
+                  for size in range(k + 1)
+                  for dom in combinations(range(k), size)
+                  for img in permutations(range(k), size))
+    return tabulate(maps, lambda f, g: tuple(-1 if f[i] < 0 else g[f[i]] for i in range(k)),
+                    tuple(range(k)), str)[0]
+
+
+def _relabel_identity_to_0(m):
+    """The same table with the identity swapped to index 0."""
+    perm = list(range(m.n))
+    perm[0], perm[m.id] = m.id, 0
+    return [[perm[m.table[perm[x]][perm[y]]] for y in range(m.n)] for x in range(m.n)]
+
+
+def _planted_cells(table):
+    """A changed cell in a generator's row, one in a generator's column, and
+    one whose row and column are neither a generator nor the identity."""
+    t = tuple(tuple(r) for r in table)
+    gens = _generators(t, 0)
+    far = [x for x in range(1, len(t)) if x not in gens]
+    return [(gens[0], far[-1]), (far[len(far) // 2], gens[-1]), (far[-1], far[-2])]
+
+
+def test_validator_witness_on_planted_cells_in_large_tables():
+    large = [direct_product(m7(), sym3()),
+             direct_product(brandt_b2_1(), direct_product(m7(), cyclic_group(3))),
+             direct_product(direct_product(m3(), m7()), klein_four()),
+             _symmetric_inverse_monoid(4)]
+    assert [m.n for m in large] == [42, 126, 84, 209]
+    for m in large:
+        table = _relabel_identity_to_0(m)
+        assert _expect_oracle(table) is None
+        for x, y in _planted_cells(table):
+            planted = [list(r) for r in table]
+            planted[x][y] = (planted[x][y] + 1) % m.n
+            assert _expect_oracle(planted) is not None, (m.n, x, y)
+
+
+def test_validator_accepts_every_corpus_and_enumerated_table():
+    for inst in builtin_corpus():
+        if inst.kind in ("monoid", "group", "semilattice"):
+            m = inst.payload if inst.kind != "semilattice" else inst.payload.base
+            again = validate_monoid(m.n, m.table, m.id, m.labels)
+            assert (again.table, again.labels) == (m.table, m.labels)
+    tables = [t for n in range(1, 6) for t in _monoid_tables(n)]
+    assert len(tables) == 1 + 2 + 11 + 156 + 4122
+    for table in tables:
+        assert validate_monoid(len(table), table, 0).table == tuple(map(tuple, table))
+    semis = list(_semilattices_of_size(6))
+    assert semis
+    for s in semis:
+        assert assoc_failure(s.base.table) is None
+        assert validate_monoid(6, s.base.table, 0).table == s.base.table
+
+
+# Witnesses recorded before make_monoid_map and make_congruence read table
+# rows directly: both scan x-major, and the first failing cell is the witness.
+
+def test_homomorphism_witness_is_the_first_failing_cell():
+    # The failing cells are (2,5), (5,1) and (5,5); a y-major scan would
+    # report (5,1).
+    with pytest.raises(NotHomomorphism) as exc:
+        make_monoid_map(m7(), m3(), (0, 1, 1, 1, 1, 0, 1))
+    assert exc.value.witness == (2, 5)
+    assert str(exc.value) == "map is not a homomorphism at (2,5)"
+
+
+def test_congruence_witness_is_the_first_conflicting_pair():
+    # A y-major scan would report ((4, 0), (4, 1)).
+    with pytest.raises(NotACongruence) as exc:
+        make_congruence(m7(), (0, 0, 1, 1, 2, 2, 3))
+    assert exc.value.witness == ((0, 4), (1, 5))
+    assert str(exc.value) == \
+        "relation is not compatible with multiplication: ((0, 4), (1, 5))"

@@ -1,5 +1,6 @@
 import pytest
 
+from imw.constructions import almost_action_from_f_inverse, gluing_map_from_clifford
 from imw.core import make_monoid_map, validate_monoid
 from imw.corpus import brandt_b2_1, chain, cyclic_group, m3, m7, sym3
 from imw.errors import EmptyCandidateFiber, KernelMismatch
@@ -137,3 +138,21 @@ def test_cosplit_homomorphism_on_clifford(corpus_monoids):
         except KernelMismatch:
             continue  # Clifford but not E-unitary (a zero merges everything)
         assert cs.ell_is_homomorphism, name
+
+
+def test_section_data_and_cosplit_read_the_cached_idempotent_index():
+    class CountingIndex(dict):
+        reads = 0
+
+        def __getitem__(self, e):
+            CountingIndex.reads += 1
+            return super().__getitem__(e)
+
+    for build in (cosplit_retraction, almost_action_from_f_inverse,
+                  gluing_map_from_clifford):
+        m = validate_inverse(m3())
+        assert m.idempotent_index == {e: i for i, e in enumerate(m.semilattice[1].values)}
+        m.__dict__["idempotent_index"] = CountingIndex(m.idempotent_index)
+        CountingIndex.reads = 0
+        build(m)
+        assert CountingIndex.reads > 0, build.__name__
