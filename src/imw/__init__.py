@@ -47,7 +47,6 @@ from .extension import (
 )
 from .inverse import (
     InverseMonoid,
-    NaturalOrder,
     SemilatticeMonoid,
     idempotent_semilattice,
     is_clifford,

@@ -4,8 +4,9 @@ Exit codes: 0 = all requested checks pass, 1 = a property verdict is false
 (the witness is printed), 2 = input or validation error. Being inverse is a
 verdict for ``check``, which exits 1 with a witness on a non-inverse table,
 but a precondition for ``extension`` and ``decompose``, which exit 2 on one.
-Every command takes ``--json``; ``enumerate`` also takes ``--budget`` and
-``iso`` takes ``--max-iso-n``. A flag a command, or an ``enumerate --kind``,
+Every command takes ``--json``, and ``enumerate --kind almost-action`` and
+``gluing-map`` require it; ``enumerate`` also takes ``--budget`` and ``iso``
+takes ``--max-iso-n``. A flag a command, or an ``enumerate --kind``,
 does not read is a usage error.
 """
 
@@ -226,6 +227,8 @@ def cmd_enumerate(args) -> int:
             raise ValidationError(f"--{flag.replace('_', '-')} is not read by "
                                   f"--kind {args.kind}")
     if args.kind in ("almost-action", "gluing-map"):
+        if not args.json:
+            raise ValidationError(f"--kind {args.kind} writes only JSON; pass --json")
         if not args.group or not args.semilattice:
             raise ValidationError(f"--group and --semilattice are required "
                                   f"for kind {args.kind}")

@@ -90,10 +90,11 @@ def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
     for i, row in enumerate(table):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} length", len(row), n + 1)
-        for v in row:
-            if not (0 <= int(v) < n):
-                raise IndexOutOfRange(f"table[{i}]", int(v), n)
-        rows.append(tuple(int(v) for v in row))
+        r = tuple(map(int, row))
+        if min(r) < 0 or max(r) >= n:
+            bad = next(v for v in r if not 0 <= v < n)
+            raise IndexOutOfRange(f"table[{i}]", bad, n)
+        rows.append(r)
     t = tuple(rows)
     if not (0 <= id < n):
         raise IndexOutOfRange("identity index", id, n)

@@ -55,6 +55,10 @@ class InverseMonoid:
     def label(self, x: int) -> str:
         return self.base.label(x)
 
+    def leq(self, x: int, y: int) -> bool:  # the natural order: x = x*inv(x)*y
+        t = self.base.table
+        return t[t[x][self.inv[x]]][y] == x
+
     @cached_property
     def sigma(self) -> Congruence:
         return min_group_congruence(self)
@@ -111,16 +115,6 @@ class SemilatticeMonoid:
 
 
 @dataclass(frozen=True)
-class NaturalOrder:
-    monoid: InverseMonoid
-    leq: tuple[tuple[bool, ...], ...]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(x, y) for x in range(self.monoid.n)
-                for y in range(self.monoid.n) if self.leq[x][y]]
-
-
-@dataclass(frozen=True)
 class EUnitaryResult:
     holds: bool
     witness: tuple[int, int] | None = None  # (x, e) with x*e idempotent, x not
@@ -143,10 +137,11 @@ class CliffordResult:
 
 def validate_inverse(m: FiniteMonoid) -> InverseMonoid:
     """Accept iff each element has exactly one generalized inverse."""
+    t = m.table
     inv = []
     for x in range(m.n):
-        cands = [y for y in range(m.n)
-                 if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y]
+        tx = t[x]
+        cands = [y for y in range(m.n) if t[tx[y]][x] == x and t[t[y][x]][y] == y]
         if not cands:
             raise NoInverse(x)
         if len(cands) > 1:
@@ -157,7 +152,7 @@ def validate_inverse(m: FiniteMonoid) -> InverseMonoid:
     idem = m.idempotents()
     for e in idem:
         for f in idem:
-            if m.mul(e, f) != m.mul(f, e):
+            if t[e][f] != t[f][e]:
                 raise IdempotentsDoNotCommute(e, f)
     return InverseMonoid(base=m, inv=tuple(inv))
 
@@ -185,24 +180,11 @@ def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidM
     return validate_semilattice(sub), make_monoid_map(sub, m.base, idem)
 
 
-def natural_order(m: InverseMonoid) -> NaturalOrder:
-    """x <= y iff x = e*y for some idempotent e."""
-    idem = m.base.idempotents()
-    leq = [[False] * m.n for _ in range(m.n)]
-    for y in range(m.n):
-        for e in idem:
-            leq[m.mul(e, y)][y] = True
-    for x in range(m.n):
-        if not leq[x][x]:
-            raise OrderAxiomViolation("reflexivity", x)
-        for y in range(m.n):
-            if leq[x][y] and leq[y][x] and x != y:
-                raise OrderAxiomViolation("antisymmetry", (x, y))
-            if leq[x][y]:
-                for z in range(m.n):
-                    if leq[y][z] and not leq[x][z]:
-                        raise OrderAxiomViolation("transitivity", (x, y, z))
-    return NaturalOrder(monoid=m, leq=tuple(tuple(r) for r in leq))
+def natural_order(m: InverseMonoid) -> list[tuple[int, int]]:
+    """The pairs x <= y of the natural order (``InverseMonoid.leq``), x-major."""
+    t = m.base.table
+    return [(x, y) for x in range(m.n)
+            for y, v in enumerate(t[t[x][m.inv[x]]]) if v == x]
 
 
 def min_group_congruence(m: InverseMonoid) -> Congruence:
@@ -242,13 +224,8 @@ def is_f_inverse(m: InverseMonoid) -> FInverseResult:
 
     For a finite class this is the same as having a unique maximal element;
     on failure the offending class and its incomparable maximals are returned.
-    x <= y is tested as x = x*inv(x)*y, so the dense order is never built.
     """
-    sigma = m.sigma
-
-    def leq(x: int, y: int) -> bool:
-        return m.mul(m.mul(x, m.inv[x]), y) == x
-
+    sigma, leq = m.sigma, m.leq
     selector = []
     for c, members in enumerate(sigma.classes()):
         maximals = [x for x in members

@@ -130,7 +130,7 @@ def test_enumerate_group_json():
 
 def test_enumerate_almost_actions_cli():
     r = run_cli("enumerate", "--kind", "almost-action",
-                "--group", "z2", "--semilattice", "ch2")
+                "--group", "z2", "--semilattice", "ch2", "--json")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["count"] == 2
@@ -222,23 +222,29 @@ _FLAG_ARGS = {"--group": ["--group", "s3"], "--semilattice": ["--semilattice", "
       for kind in _TABLE_KINDS),
     *(("--force-bound", kind) for kind in ("group",) + _SEARCH_KINDS),
     *(("--max-n", kind) for kind in _SEARCH_KINDS),
+    *((None, kind) for kind in _SEARCH_KINDS),  # no --json, which they require
 ])
 def test_enumerate_refuses_a_flag_its_kind_does_not_read(flag, kind, monkeypatch, capsys):
     import imw.cli
 
     def no_search(*args, **kwargs):
-        raise AssertionError("the enumerator ran despite a refused flag")
+        raise AssertionError("the enumerator ran despite a refusal")
 
     for name in ("enumerate_semilattices", "enumerate_inverse_monoids", "small_groups",
-                 "enumerate_almost_actions", "enumerate_gluing_maps"):
+                 "enumerate_almost_actions", "enumerate_gluing_maps", "_named_structures"):
         monkeypatch.setattr(imw.cli, name, no_search)
-    argv = ["enumerate", "--kind", kind, "--json", *_FLAG_ARGS[flag]]
+    argv = ["enumerate", "--kind", kind, *_FLAG_ARGS.get(flag, [])]
+    if flag is not None:
+        argv.append("--json")
     if kind in _SEARCH_KINDS and flag not in ("--group", "--semilattice"):
         argv += ["--group", "s3", "--semilattice", "d4"]  # the flags it requires
     assert imw.cli.cli_main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {flag} is not read by --kind {kind}\n"
+    if flag is None:
+        assert err == f"error: --kind {kind} writes only JSON; pass --json\n"
+    else:
+        assert err == f"error: {flag} is not read by --kind {kind}\n"
 
 
 def test_enumerate_group_refuses_search_flags():

@@ -1,9 +1,8 @@
-from itertools import combinations, permutations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _symmetric_inverse_monoid
 from imw.core import (
     Congruence,
     _generators,
@@ -117,6 +116,20 @@ def test_bad_identity_and_range():
         validate_monoid(2, [[0, 1], [1, 2]], 0)
     with pytest.raises(IndexOutOfRange):
         validate_monoid(2, [[0, 1], [1, 0]], 5)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1, 2], [1, 7, -2], [2, -5, 9]], "table[1]: entry 7 outside 0..2"),
+    ([[0, 1, 2], [1, -1, 5], [2, 2, 2]], "table[1]: entry -1 outside 0..2"),
+    ([[0, 1, 2], [1, 2, 3], [2, 2]], "table[1]: entry 3 outside 0..2"),
+    ([[0, 1, 2], [1, 1, 1], [-3, 2, 2]], "table[2]: entry -3 outside 0..2"),
+])
+def test_range_error_names_the_first_bad_cell_row_by_row(table, message):
+    # Recorded before the range check read each row once: the first value
+    # out of range in row-major order, before a later row's length.
+    with pytest.raises(IndexOutOfRange) as exc:
+        validate_monoid(3, table, 0)
+    assert str(exc.value) == message
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,16 +281,6 @@ def _planted_table(case):
         st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))))
 def test_validator_witness_is_the_oracles_first_triple(table):
     _expect_oracle(table)
-
-
-def _symmetric_inverse_monoid(k):
-    """I_k: partial bijections of k points, (f*g)(i) = g(f(i))."""
-    maps = sorted(tuple(dict(zip(dom, img)).get(i, -1) for i in range(k))
-                  for size in range(k + 1)
-                  for dom in combinations(range(k), size)
-                  for img in permutations(range(k), size))
-    return tabulate(maps, lambda f, g: tuple(-1 if f[i] < 0 else g[f[i]] for i in range(k)),
-                    tuple(range(k)), str)[0]
 
 
 def _relabel_identity_to_0(m):

@@ -1,3 +1,4 @@
+import ast
 import sys
 from collections import Counter
 from functools import reduce
@@ -6,6 +7,7 @@ import pytest
 
 import imw.extension
 import imw.inverse
+from conftest import _symmetric_inverse_monoid
 from imw.constructions import clifford_reconstruction
 from imw.core import direct_product, is_group, make_congruence, quotient, validate_monoid
 from imw.corpus import (
@@ -60,6 +62,28 @@ def sigma_by_union_find(m):
     return make_congruence(m.base, [find(x) for x in range(m.n)])
 
 
+def dense_natural_order(m):
+    """Oracle straight from the definition: leq[x][y] iff x = e*y for some
+    idempotent e, as a dense matrix checked to be a partial order."""
+    idem = m.base.idempotents()
+    leq = [[False] * m.n for _ in range(m.n)]
+    for y in range(m.n):
+        for e in idem:
+            leq[m.mul(e, y)][y] = True
+    for x in range(m.n):
+        assert leq[x][x], ("reflexivity", x)
+        for y in range(m.n):
+            assert not (leq[x][y] and leq[y][x] and x != y), ("antisymmetry", (x, y))
+            if leq[x][y]:
+                for z in range(m.n):
+                    assert leq[x][z] or not leq[y][z], ("transitivity", (x, y, z))
+    return leq
+
+
+def _pairs(leq):
+    return [(x, y) for x, row in enumerate(leq) for y, v in enumerate(row) if v]
+
+
 def test_group_inverse_is_group_inverse():
     g = validate_inverse(cyclic_group(4))
     for x in range(4):
@@ -88,8 +112,9 @@ def test_non_unique_inverse_witness():
     # Left-zero pair with identity: a and b are generalized inverses of
     # each other and of themselves.
     bad = validate_monoid(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)
-    with pytest.raises(NonUniqueInverse):
+    with pytest.raises(NonUniqueInverse) as exc:
         validate_inverse(bad)
+    assert exc.value.witness == (1, (1, 2))  # candidates in ascending order
 
 
 def test_non_unique_found_by_exhaustive_search():
@@ -140,16 +165,15 @@ def test_idempotent_semilattice():
 
 def test_natural_order_on_groups_is_equality():
     g = validate_inverse(klein_four())
-    order = natural_order(g)
-    assert order.pairs() == [(x, x) for x in range(4)]
+    assert natural_order(g) == [(x, x) for x in range(4)]
 
 
 def test_natural_order_on_semilattice_is_meet_order():
     y = diamond()
-    order = natural_order(validate_inverse(y.base))
+    m = validate_inverse(y.base)
     for a in range(4):
         for b in range(4):
-            assert order.leq[a][b] == y.leq(a, b)
+            assert m.leq(a, b) == y.leq(a, b)
 
 
 def test_natural_order_m3():
@@ -161,7 +185,20 @@ def test_natural_order_m3():
         for e in idem:
             expected.add((m.mul(e, y), y))
     assert expected == {(0, 0), (1, 1), (2, 2), (1, 0)}
-    assert set(natural_order(m).pairs()) == expected
+    assert set(natural_order(m)) == expected
+
+
+def test_natural_order_on_symmetric_inverse_monoids_is_graph_inclusion():
+    # Oracle without any search: partial bijections f <= g iff f is a
+    # restriction of g. The labels of I_k are the maps themselves.
+    for k, count in ((3, 139), (4, 1473)):
+        m = validate_inverse(_symmetric_inverse_monoid(k))
+        graphs = [{(i, j) for i, j in enumerate(ast.literal_eval(m.label(x))) if j >= 0}
+                  for x in range(m.n)]
+        expected = [(x, y) for x in range(m.n) for y in range(m.n)
+                    if graphs[x] <= graphs[y]]
+        assert len(expected) == count
+        assert natural_order(m) == expected == _pairs(dense_natural_order(m))
 
 
 def test_sigma_examples():
@@ -360,35 +397,49 @@ def test_m7_not_f_inverse():
                if res.sigma.class_of[x] == res.witness_class]
     assert sorted(members) == [4, 5, 6]
     assert res.witness_maximals == (4, 5)
-    order = natural_order(m)
+    leq = dense_natural_order(m)
     a, b = res.witness_maximals
-    assert not order.leq[a][b] and not order.leq[b][a]
+    assert not leq[a][b] and not leq[b][a]
 
 
-def _f_inverse_by_order(m):
+def _f_inverse_by_order(m, leq):
     """Oracle: the greatest element of each sigma class, read off the dense
-    natural order, as (selector, witness class, witness maximals)."""
-    order = natural_order(m)
+    natural order leq, as (selector, witness class, witness maximals)."""
     selector = []
     for c, members in enumerate(m.sigma.classes()):
         maximals = tuple(x for x in members
-                         if not any(order.leq[x][y] for y in members if y != x))
+                         if not any(leq[x][y] for y in members if y != x))
         if len(maximals) != 1:
             return None, c, maximals
-        assert all(order.leq[y][maximals[0]] for y in members)
+        assert all(leq[y][maximals[0]] for y in members)
         selector.append(maximals[0])
     return tuple(selector), None, None
 
 
-def test_f_inverse_matches_the_dense_natural_order(corpus_monoids):
+@pytest.fixture(scope="module")
+def order_cases(corpus_monoids):
+    """Each monoid with its dense natural order: the corpus, the inverse
+    monoids up to n = 5 and the suite's grid."""
     cases = [m for _, m in corpus_monoids]
     cases += list(enumerate_inverse_monoids(5))
     cases += [m for _, m in build_context().monoids]
-    assert (len(cases), sum(not is_f_inverse(m).holds for m in cases)) == (346, 29)
-    for m in cases:
+    return [(m, dense_natural_order(m)) for m in cases]
+
+
+def test_f_inverse_matches_the_dense_natural_order(order_cases):
+    assert (len(order_cases),
+            sum(not is_f_inverse(m).holds for m, _ in order_cases)) == (346, 29)
+    for m, leq in order_cases:
         res = is_f_inverse(m)
         assert (res.selector, res.witness_class, res.witness_maximals) == \
-            _f_inverse_by_order(m)
+            _f_inverse_by_order(m, leq)
+
+
+def test_natural_order_matches_the_dense_oracle(order_cases):
+    for m, leq in order_cases:
+        pairs = _pairs(leq)
+        assert natural_order(m) == pairs
+        assert [(x, y) for x in range(m.n) for y in range(m.n) if m.leq(x, y)] == pairs
 
 
 def test_f_inverse_implies_e_unitary(corpus_monoids):
@@ -410,10 +461,9 @@ def test_clifford():
 def test_order_restricted_to_idempotents_is_semilattice_order(corpus_monoids):
     for name, m in corpus_monoids:
         semi, emb = idempotent_semilattice(m)
-        order = natural_order(m)
         for i, e in enumerate(emb.values):
             for j, f in enumerate(emb.values):
-                assert order.leq[e][f] == semi.leq(i, j), name
+                assert m.leq(e, f) == semi.leq(i, j), name
 
 
 def test_enumerated_inverse_monoids_have_commuting_idempotents():
