@@ -237,13 +237,31 @@ def _semilattices_of_size(n: int) -> Iterator[SemilatticeMonoid]:
 
 
 def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
+    """Every row with row[y ∧ z] = row[y] ∧ row[z], in lexicographic order.
+
+    Fills row[0], row[1], ... in ascending value, and backtracks as soon as
+    a condition whose indices y, z and y ∧ z are all filled fails.
+    """
     n = semi.n
-    meet = semi.meet
+    meet = semi.base.table
+    # The condition at (y, z) is checked at the last of its three indices.
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for y in range(n):
+        for z in range(y, n):
+            checks[max(y, z, meet[y][z])].append((y, z, meet[y][z]))
+    row = [0] * n
     rows = []
-    for row in product(range(n), repeat=n):
-        if all(row[meet(y, z)] == meet(row[y], row[z])
-               for y in range(n) for z in range(y, n)):
-            rows.append(row)
+
+    def fill(depth: int) -> None:
+        if depth == n:
+            rows.append(tuple(row))
+            return
+        for v in range(n):
+            row[depth] = v
+            if all(row[yz] == meet[row[y]][row[z]] for y, z, yz in checks[depth]):
+                fill(depth + 1)
+
+    fill(0)
     return rows
 
 

@@ -95,6 +95,19 @@ def test_almost_action_counts():
         klein_four(), diamond(), budget=10 ** 8)) == 31
 
 
+def _meet_endomorphisms_by_scan(semilattice):
+    """Oracle: every row of the full |Y|^|Y| scan that keeps meets, in scan order."""
+    n, meet = semilattice.n, semilattice.meet
+    return [row for row in product(range(n), repeat=n)
+            if all(row[meet(y, z)] == meet(row[y], row[z])
+                   for y in range(n) for z in range(y, n))]
+
+
+def test_meet_endomorphisms_match_the_scan():
+    for semi in [*enumerate_semilattices(6), chain(6)]:
+        assert _meet_endomorphisms(semi) == _meet_endomorphisms_by_scan(semi)
+
+
 def _almost_actions_by_exhaustion(group, semilattice):
     """The action tables of the full scan over rows^(|G|-1), in scan order."""
     meet = semilattice.meet

@@ -3,10 +3,11 @@
 The report and ``extension`` digests were recorded before σ moved to the
 least-idempotent route and before the weakly Schreier verdict was given a
 single code path; the ``decompose`` and ``construct gluing`` digests were
-recorded before Gl(f) was built through F(Y,G). Any change to the bytes of
-``check --json`` (via ``emit_report``), or to the exit code and stdout of
-``extension --json``, ``decompose --json`` or ``construct gluing --json``,
-shows up here.
+recorded before Gl(f) was built through F(Y,G); the ``enumerate`` digests
+were recorded before the canonical table refined colours. Any change to the
+bytes of ``check --json`` (via ``emit_report``), or to the exit code and
+stdout of ``extension --json``, ``decompose --json``, ``construct gluing
+--json`` or the two reference ``enumerate --json`` runs, shows up here.
 """
 
 import contextlib
@@ -56,12 +57,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _cli_digest(argv) -> str:
-    """Digest of a CLI run's exit code plus stdout."""
+def _cli_run(argv) -> tuple[int, str]:
+    """Exit code and stdout of a CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
-    return _sha(f"{code}\n{out.getvalue()}")
+    return code, out.getvalue()
+
+
+def _cli_digest(argv) -> str:
+    """Digest of a CLI run's exit code plus stdout."""
+    code, out = _cli_run(argv)
+    return _sha(f"{code}\n{out}")
 
 
 def output_digests(name, m, directory) -> tuple[str, str]:
@@ -244,3 +251,21 @@ def test_construct_gluing_bytes_unchanged(name, doc, tmp_path):
     path.write_text(to_canonical_json(doc), encoding="utf-8")
     assert _cli_digest(["construct", "gluing", "--json", str(path)]) \
         == CONSTRUCT_GLUING_EXPECTED[name]
+
+
+# (exit code plus stdout, stdout alone); the second is the digest of
+# perfbench/reference/enumerate-<kind>.json.
+ENUMERATE_EXPECTED = {
+    "semilattice": (
+        "87759df8b4a3b98e18b65f0a9d827403b6ed4c86c020bf038e13ef648b44f5f0",
+        "ec2cf011fa21cdc3cd16f7d1722128d5b580ed6994e2968991bc7195d6f38dd4"),
+    "inverse-monoid": (
+        "4a4a2bc216919a11f459e805757b51e63a34a5b9587db48c3b3c77a79a79d17e",
+        "11156d9b323dc82665f17423e88ccca687d8c75d59f6e2c89f9585b2ab9c733f"),
+}
+
+
+@pytest.mark.parametrize("kind,max_n", [("semilattice", 6), ("inverse-monoid", 5)])
+def test_enumerate_bytes_unchanged(kind, max_n):
+    code, out = _cli_run(["enumerate", "--kind", kind, "--max-n", str(max_n), "--json"])
+    assert (_sha(f"{code}\n{out}"), _sha(out)) == ENUMERATE_EXPECTED[kind]

@@ -1,4 +1,5 @@
-from itertools import permutations
+from itertools import chain as concat
+from itertools import groupby, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,17 +7,21 @@ from hypothesis import strategies as st
 
 from imw.core import direct_product, validate_monoid
 from imw.corpus import (
+    _inverse_monoids_of_size,
+    _semilattices_of_size,
     chain,
     cyclic_group,
+    diamond,
     enumerate_inverse_monoids,
     enumerate_semilattices,
     klein_four,
     m3,
+    small_groups,
     sym3,
     trivial_monoid,
 )
 from imw.errors import NotHomomorphism, SizeLimitExceeded
-from imw.iso import brute_force_iso, canonical_table, verify_iso
+from imw.iso import _cells, brute_force_iso, canonical_table, element_profile, verify_iso
 
 
 def test_identity_witness():
@@ -149,3 +154,52 @@ def test_canonical_table_ignores_relabelling(case):
     m, perm = case
     assert canonical_table(_relabel(m, perm)) == canonical_table(m)
     assert canonical_table(m)[0] == tuple(range(m.n))  # the identity comes first
+
+
+def profile_canonical_table(m):
+    """Oracle: the least relabelling over every order with the identity first
+    and the other elements sorted by profile alone, with no refinement."""
+    others = sorted((element_profile(m, x), x) for x in range(m.n) if x != m.id)
+    blocks = [[x for _, x in block] for _, block in groupby(others, key=lambda px: px[0])]
+    tables = []
+    for block_orders in product(*map(permutations, blocks)):
+        order = [m.id, *concat.from_iterable(block_orders)]
+        pos = {x: i for i, x in enumerate(order)}
+        tables.append(tuple(tuple(pos[m.table[x][y]] for y in order) for x in order))
+    return min(tables)
+
+
+def _partition(key, monoids):
+    """For each monoid, the index of the first one with the same key."""
+    first = {}
+    return [first.setdefault(key(m), i) for i, m in enumerate(monoids)]
+
+
+def test_refined_key_partitions_the_candidates_like_the_profile_key():
+    semilattices = [s.base for n in range(1, 7) for s in _semilattices_of_size(n)]
+    monoids = [m.base for n in range(1, 6) for m in _inverse_monoids_of_size(n)] \
+        + small_groups()
+    assert (len(semilattices), len(monoids)) == (1154, 497 + 8)
+    for candidates in (semilattices, monoids):
+        assert _partition(canonical_table, candidates) \
+            == _partition(profile_canonical_table, candidates)
+
+
+def test_refinement_splits_every_chain_into_singletons():
+    # So canonical_table tries one order; the profile key alone tried
+    # (k - 1)!, 5,040 on the 8-chain.
+    for k in range(1, 9):
+        assert [len(cell) for cell in _cells(chain(k).base)] == [1] * k
+
+
+@pytest.mark.parametrize("m,sizes", [(diamond().base, [1, 2, 1]), (klein_four(), [1, 3])],
+                         ids=["diamond", "klein"])
+def test_cell_sizes_ignore_relabelling(m, sizes):
+    # The atoms of the diamond, and a, b, c of the Klein group, are swapped by
+    # automorphisms, so no refinement can split them.
+    assert [len(cell) for cell in _cells(m)] == sizes
+    for perm in permutations(range(m.n)):
+        relabelled = _relabel(m, perm)
+        cells = _cells(relabelled)
+        assert [len(cell) for cell in cells] == sizes
+        assert cells[0] == [relabelled.id]
