@@ -76,7 +76,7 @@ class Congruence:
 
 def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
                     labels: Sequence[str] | None = None) -> FiniteMonoid:
-    """Check closure, identity and associativity.
+    """Check closure, identity and associativity of a table of int cells.
 
     Associativity is decided by Light's test in O(|A|*n^2) for a generating
     set A; only a table that fails it is scanned triple by triple, in
@@ -90,7 +90,7 @@ def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
     for i, row in enumerate(table):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} length", len(row), n + 1)
-        r = tuple(map(int, row))
+        r = tuple(row)
         if min(r) < 0 or max(r) >= n:
             bad = next(v for v in r if not 0 <= v < n)
             raise IndexOutOfRange(f"table[{i}]", bad, n)

@@ -10,7 +10,7 @@ counts can be pinned as regression values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .constructions import (
@@ -188,52 +188,43 @@ def enumerate_semilattices(max_n: int) -> Iterator[SemilatticeMonoid]:
 
 
 def _semilattices_of_size(n: int) -> Iterator[SemilatticeMonoid]:
+    """Semilattices with top 0, one per strict order on 1..n-1 with meets.
+
+    Gives the pairs i < j, in lexicographic order, the states incomparable,
+    i < j and j < i, in that order, and backtracks as soon as a triple whose
+    three pairs have states is not transitive.
+    """
     if n == 1:
         yield validate_semilattice(trivial_monoid())
         return
-    sub = list(range(1, n))
-    pairs = [(i, j) for ai, i in enumerate(sub) for j in sub[ai + 1:]]
-    # lt[x][y]: x strictly below y (element 0, the top, handled separately).
-    for states in product(range(3), repeat=len(pairs)):
-        lt = [[False] * n for _ in range(n)]
-        for x in sub:
-            lt[x][0] = True
-        for (i, j), st in zip(pairs, states):
-            if st == 1:
-                lt[i][j] = True
-            elif st == 2:
-                lt[j][i] = True
-        ok = True
-        for x in sub:
-            for y in sub:
-                if not lt[x][y]:
-                    continue
-                for z in sub:
-                    if lt[y][z] and not lt[x][z]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        leq = [[lt[x][y] or x == y for y in range(n)] for x in range(n)]
-        meet_table = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-                glb = next((z for z in lower
-                            if all(leq[w][z] for w in lower)), None)
-                if glb is None:
-                    ok = False
-                    break
-                meet_table[x][y] = glb
-            if not ok:
-                break
-        if not ok:
-            continue
-        yield validate_semilattice(validate_monoid(n, meet_table, 0))
+    sub = range(1, n)
+    pairs = [(i, j) for i in sub for j in range(i + 1, n)]
+    # The triple x < y < z is checked once its last pair, (y, z), has a state.
+    depth_of = {p: d for d, p in enumerate(pairs)}
+    checks: list[list[tuple[int, ...]]] = [[] for _ in pairs]
+    for x, y, z in combinations(sub, 3):
+        checks[depth_of[y, z]] += permutations((x, y, z))
+    # down[x]: bitmask of the elements at or below x; the top is above all.
+    down = [(1 << n) - 1] + [1 << x for x in sub]
+
+    def fill(depth: int) -> Iterator[SemilatticeMonoid]:
+        if depth == len(pairs):
+            # x ∧ y is the element whose down-set is down(x) & down(y), if any.
+            index = {d: x for x, d in enumerate(down)}
+            table = [[index.get(dx & dy) for dy in down] for dx in down]
+            if all(None not in row for row in table):
+                yield validate_semilattice(validate_monoid(n, table, 0))
+            return
+        i, j = pairs[depth]
+        # Incomparable (no bit), i < j (i joins down[j]), j < i (j joins down[i]).
+        for hi, bit in ((j, 0), (j, 1 << i), (i, 1 << j)):
+            down[hi] |= bit
+            if all(down[z] >> x & 1 or not (down[z] >> y & 1 and down[y] >> x & 1)
+                   for x, y, z in checks[depth]):
+                yield from fill(depth + 1)
+            down[hi] ^= bit
+
+    yield from fill(0)
 
 
 def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
@@ -351,41 +342,41 @@ def _inverse_monoids_of_size(n: int) -> Iterator[InverseMonoid]:
 
 
 def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
-    """Complete associative tables with identity 0, in lexicographic order."""
+    """Complete associative tables with identity 0 and commuting idempotents,
+    in lexicographic order."""
     t = [[-1] * n for _ in range(n)]
     for j in range(n):
         t[0][j] = j
         t[j][0] = j
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    rest = range(1, n)
+    cells = [(i, j) for i in rest for j in rest]
+    # at[v]: the filled cells off the identity row and column whose value is v.
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     def consistent(i: int, j: int) -> bool:
         v = t[i][j]
-        # Associativity instances in which cell (i,j) participates and whose
-        # other references are already assigned.
-        for z in range(n):
-            jz = t[j][z]
-            if t[v][z] >= 0 and jz >= 0 and t[i][jz] >= 0 \
-                    and t[v][z] != t[i][jz]:
+        ti, tj, tv = t[i], t[j], t[v]
+        # Associativity instances (xy)z = x(yz) in which cell (i,j) takes part
+        # and whose other cells are filled; those with a factor 0 hold by the
+        # identity row and column.
+        for z in rest:
+            jz = tj[z]
+            if tv[z] >= 0 and jz >= 0 and ti[jz] >= 0 and tv[z] != ti[jz]:
                 return False
-        for x in range(n):
+        for x in rest:
             xi = t[x][i]
-            if xi >= 0 and t[xi][j] >= 0 and t[x][v] >= 0 \
-                    and t[xi][j] != t[x][v]:
+            if xi >= 0 and t[xi][j] >= 0 and t[x][v] >= 0 and t[xi][j] != t[x][v]:
                 return False
-        for x in range(n):
-            for y in range(n):
-                if t[x][y] == i:
-                    yj = t[y][j]
-                    if yj >= 0 and t[x][yj] >= 0 and t[x][yj] != v:
-                        return False
-        for y in range(n):
-            for z in range(n):
-                if t[y][z] == j:
-                    iy = t[i][y]
-                    if iy >= 0 and t[iy][z] >= 0 and t[iy][z] != v:
-                        return False
+        for x, y in at[i]:
+            yj = t[y][j]
+            if yj >= 0 and t[x][yj] >= 0 and t[x][yj] != v:
+                return False
+        for y, z in at[j]:
+            iy = ti[y]
+            if iy >= 0 and t[iy][z] >= 0 and t[iy][z] != v:
+                return False
         # Idempotents must commute in any inverse monoid.
-        if t[i][i] == i and t[j][j] == j and t[j][i] >= 0 and t[j][i] != v:
+        if ti[i] == i and tj[j] == j and tj[i] >= 0 and tj[i] != v:
             return False
         return True
 
@@ -396,8 +387,10 @@ def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
         i, j = cells[depth]
         for v in range(n):
             t[i][j] = v
+            at[v].append((i, j))
             if consistent(i, j):
                 yield from fill(depth + 1)
+            at[v].pop()
         t[i][j] = -1
 
     yield from fill(0)

@@ -105,6 +105,12 @@ def parse_mtab_document(text: str) -> MtabDocument:
             col = sum(len(t) + 1 for t in toks[:n]) + 1 if len(toks) > n else len(body) + 1
             raise MtabSyntaxError(f"row {i} has {len(toks)} entries, expected {n}",
                                   lineno, col)
+        if all(map(str.isdecimal, toks)):
+            try:
+                rows.append(tuple(map(int, toks)))
+                continue
+            except ValueError:  # a token too long for int(), named below
+                pass
         col = 1
         row = []
         for tok in toks:

@@ -6,6 +6,8 @@ from imw.constructions import validate_almost_action, validate_gluing_map
 from imw.core import is_group
 from imw.corpus import (
     _meet_endomorphisms,
+    _monoid_tables,
+    _semilattices_of_size,
     builtin_corpus,
     chain,
     cyclic_group,
@@ -82,6 +84,46 @@ def test_semilattice_size4_includes_chain_and_diamond():
         if brute_force_iso(s.base, diamond().base) is not None:
             found_diamond = True
     assert found_chain and found_diamond
+
+
+def _semilattices_by_scan(n):
+    """Oracle: the meet tables of the full 3^(pairs) scan over strict orders of
+    1..n-1 below the top 0, in scan order, for those that are transitive and
+    where every pair has a meet."""
+    if n == 1:
+        return [((0,),)]
+    sub = list(range(1, n))
+    pairs = [(i, j) for ai, i in enumerate(sub) for j in sub[ai + 1:]]
+    found = []
+    for states in product(range(3), repeat=len(pairs)):
+        lt = [[False] * n for _ in range(n)]  # lt[x][y]: x strictly below y
+        for x in sub:
+            lt[x][0] = True
+        for (i, j), st in zip(pairs, states):
+            if st == 1:
+                lt[i][j] = True
+            elif st == 2:
+                lt[j][i] = True
+        if any(lt[x][y] and lt[y][z] and not lt[x][z]
+               for x in sub for y in sub for z in sub):
+            continue
+        leq = [[lt[x][y] or x == y for y in range(n)] for x in range(n)]
+        meet_table = []
+        for x in range(n):
+            row = []
+            for y in range(n):
+                lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+                row.append(next((z for z in lower
+                                 if all(leq[w][z] for w in lower)), None))
+            meet_table.append(tuple(row))
+        if all(None not in row for row in meet_table):
+            found.append(tuple(meet_table))
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_semilattices_match_the_scan(n):
+    assert [s.base.table for s in _semilattices_of_size(n)] == _semilattices_by_scan(n)
 
 
 def test_almost_action_counts():
@@ -223,6 +265,62 @@ def test_gluing_map_counts():
     # The constant-bottom map passes for a non-abelian group as well.
     s3_maps = list(enumerate_gluing_maps(sym3(), chain(2)))
     assert (0, 1, 1, 1, 1, 1) in {gm.f for gm in s3_maps}
+
+
+def _monoid_tables_by_scan(n):
+    """Oracle: the backtracking over cells in row-major order that, for each
+    value, rescans every cell for the associativity instances the new cell
+    completes, and checks that idempotents commute."""
+    t = [[-1] * n for _ in range(n)]
+    for j in range(n):
+        t[0][j] = j
+        t[j][0] = j
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def consistent(i, j):
+        v = t[i][j]
+        for z in range(n):
+            jz = t[j][z]
+            if t[v][z] >= 0 and jz >= 0 and t[i][jz] >= 0 and t[v][z] != t[i][jz]:
+                return False
+        for x in range(n):
+            xi = t[x][i]
+            if xi >= 0 and t[xi][j] >= 0 and t[x][v] >= 0 and t[xi][j] != t[x][v]:
+                return False
+        for x in range(n):
+            for y in range(n):
+                if t[x][y] == i:
+                    yj = t[y][j]
+                    if yj >= 0 and t[x][yj] >= 0 and t[x][yj] != v:
+                        return False
+        for y in range(n):
+            for z in range(n):
+                if t[y][z] == j:
+                    iy = t[i][y]
+                    if iy >= 0 and t[iy][z] >= 0 and t[iy][z] != v:
+                        return False
+        return not (t[i][i] == i and t[j][j] == j and t[j][i] >= 0 and t[j][i] != v)
+
+    found = []
+
+    def fill(depth):
+        if depth == len(cells):
+            found.append([row[:] for row in t])
+            return
+        i, j = cells[depth]
+        for v in range(n):
+            t[i][j] = v
+            if consistent(i, j):
+                fill(depth + 1)
+        t[i][j] = -1
+
+    fill(0)
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_monoid_tables_match_the_scan(n):
+    assert list(_monoid_tables(n)) == _monoid_tables_by_scan(n)
 
 
 def test_inverse_monoid_counts():

@@ -10,6 +10,7 @@ import io
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,31 @@ def test_construct_exit_code_on_arbitrary_json(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(text, encoding="utf-8")
     _assert_contract(*_run(["construct", what, str(path)]), codes=(0, 2))
+
+
+_MONOID_TABLE = {"fproduct": "group", "gluing": "group", "crossed": "h"}
+
+
+@pytest.mark.parametrize("cell", [1.0, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("what", sorted(_DOCS))
+def test_construct_refuses_a_cell_that_is_not_an_int(tmp_path, what, cell):
+    # validate_monoid takes int cells as given, so the JSON reader refuses the rest.
+    doc = json.loads(json.dumps(_DOCS[what]))
+    doc[_MONOID_TABLE[what]]["table"][1][0] = cell
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(["construct", what, str(path)])
+    _assert_contract(code, out, err, codes=(2,))
+    assert "table must be a list of lists of integers" in err
+
+
+@pytest.mark.parametrize("cell", ["1.0", "True", "'1'"], ids=["float", "bool", "string"])
+def test_check_refuses_a_cell_that_is_not_an_int(tmp_path, cell):
+    path = tmp_path / "z2.mtab"
+    path.write_text(f"mtab v1\nn=2\nid=0\n0 1\n{cell} 0\n", encoding="utf-8")
+    code, out, err = _run(["check", str(path)])
+    _assert_contract(code, out, err, codes=(2,))
+    assert f"line 5, column 1: expected a non-negative integer, got {cell!r}" in err
 
 
 # F-inverse, E-unitary but not F-inverse, and not E-unitary.

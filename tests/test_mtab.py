@@ -48,6 +48,24 @@ def test_wrong_arity_row():
     assert exc.value.line == 5
 
 
+_LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("row,column,message", [
+    ("0 1 x 3", 5, "expected a non-negative integer, got 'x'"),
+    ("0 1 2 3.0", 7, "expected a non-negative integer, got '3.0'"),
+    ("0 1 " + _LONG + " 3", 5, "integer too long"),
+    ("0 " + _LONG + " x 3", 3, "integer too long"),
+    ("0 1 x " + _LONG, 5, "expected a non-negative integer, got 'x'"),
+], ids=["letter", "float", "long", "long-then-letter", "letter-then-long"])
+def test_bad_token_mid_row_is_named_by_line_and_column(row, column, message):
+    text = f"mtab v1\nn=4\nid=0\n0 1 2 3\n{row}\n2 2 2 2\n3 3 3 3\n"
+    with pytest.raises(MtabSyntaxError) as exc:
+        parse_mtab_document(text)
+    assert (exc.value.line, exc.value.column) == (5, column)
+    assert str(exc.value) == f"line 5, column {column}: {message}"
+
+
 def test_header_required():
     with pytest.raises(MtabSyntaxError):
         parse_mtab("n=1\nid=0\n0\n")
