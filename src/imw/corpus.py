@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .constructions import (
     AlmostAction,
@@ -167,64 +167,56 @@ def small_groups() -> list[FiniteMonoid]:
 # --- enumerators -----------------------------------------------------------
 
 
-def _isomorph_free(max_n: int, of_size: Callable[[int], Iterator]) -> Iterator:
-    """Size by size, the first structure from ``of_size`` per canonical table."""
-    for n in range(1, max_n + 1):
-        seen: set[tuple] = set()
-        for s in of_size(n):
-            key = canonical_table(s.base)
-            if key not in seen:
-                seen.add(key)
-                yield s
-
-
 def enumerate_semilattices(max_n: int) -> Iterator[SemilatticeMonoid]:
     """All semilattice monoids of size 1..max_n up to isomorphism.
 
-    Enumerates strict-order matrices below a fixed top, keeps those where
-    every pair has a meet, and keeps the first of each canonical table.
+    A finite semilattice monoid is a lattice, and deleting an atom other than
+    the top leaves a lattice (Heitzig & Reinhold, "Counting finite lattices",
+    2002). So from size 3 on, the classes grow from those one smaller by
+    ``_add_atom``, deduped by canonical table; each is emitted in the
+    labelling of its ``_least_strict_order``, sorted by that order.
     """
-    yield from _isomorph_free(max_n, _semilattices_of_size)
+    classes = [validate_semilattice(trivial_monoid())]
+    for n in range(1, max_n + 1):
+        if n == 2:
+            classes = [validate_semilattice(validate_monoid(2, [[0, 1], [1, 1]], 0))]
+        elif n > 2:
+            grown = {canonical_table(validate_monoid(n, table, 0))
+                     for s in classes for table in _add_atom(s)}
+            classes = [validate_semilattice(validate_monoid(n, table, 0))
+                       for _, table in sorted(map(_least_strict_order, grown))]
+        yield from classes
 
 
-def _semilattices_of_size(n: int) -> Iterator[SemilatticeMonoid]:
-    """Semilattices with top 0, one per strict order on 1..n-1 with meets.
+def _add_atom(semi: SemilatticeMonoid) -> Iterator[list[list[int]]]:
+    """semi's meet table with a new atom n below F, for each proper up-set F
+    (so F avoids the bottom) that holds every meet of two of its members other
+    than the bottom; such a meet becomes n."""
+    n, meet = semi.n, semi.base.table
+    bottom = next(x for x, row in enumerate(meet) if set(row) == {x})
+    for k in range(1, n):
+        for up in combinations(range(n), k):
+            if all(y in up for x in up for y in range(n) if meet[x][y] == x) and \
+                    all(meet[x][y] in up or meet[x][y] == bottom for x in up for y in up):
+                up += (n,)
+                table = [[*row, bottom] for row in meet] + [[bottom] * (n + 1)]
+                yield [[n if x in up and y in up and xy == bottom else xy
+                        for y, xy in enumerate(row)] for x, row in enumerate(table)]
 
-    Gives the pairs i < j, in lexicographic order, the states incomparable,
-    i < j and j < i, in that order, and backtracks as soon as a triple whose
-    three pairs have states is not transitive.
-    """
-    if n == 1:
-        yield validate_semilattice(trivial_monoid())
-        return
-    sub = range(1, n)
-    pairs = [(i, j) for i in sub for j in range(i + 1, n)]
-    # The triple x < y < z is checked once its last pair, (y, z), has a state.
-    depth_of = {p: d for d, p in enumerate(pairs)}
-    checks: list[list[tuple[int, ...]]] = [[] for _ in pairs]
-    for x, y, z in combinations(sub, 3):
-        checks[depth_of[y, z]] += permutations((x, y, z))
-    # down[x]: bitmask of the elements at or below x; the top is above all.
-    down = [(1 << n) - 1] + [1 << x for x in sub]
 
-    def fill(depth: int) -> Iterator[SemilatticeMonoid]:
-        if depth == len(pairs):
-            # x ∧ y is the element whose down-set is down(x) & down(y), if any.
-            index = {d: x for x, d in enumerate(down)}
-            table = [[index.get(dx & dy) for dy in down] for dx in down]
-            if all(None not in row for row in table):
-                yield validate_semilattice(validate_monoid(n, table, 0))
-            return
-        i, j = pairs[depth]
-        # Incomparable (no bit), i < j (i joins down[j]), j < i (j joins down[i]).
-        for hi, bit in ((j, 0), (j, 1 << i), (i, 1 << j)):
-            down[hi] |= bit
-            if all(down[z] >> x & 1 or not (down[z] >> y & 1 and down[y] >> x & 1)
-                   for x, y, z in checks[depth]):
-                yield from fill(depth + 1)
-            down[hi] ^= bit
+def _least_strict_order(meet: Sequence[Sequence[int]]) -> tuple[tuple, list[list[int]]]:
+    """The least strict order over the labellings of a lattice with top 0 that
+    keep the top, and the meet table in that labelling. The order gives the
+    pairs i < j of 1..n-1 in lexicographic order the states 0 (incomparable),
+    1 (i below j) and 2 (j below i)."""
+    state = [[(x == xy) + 2 * (y == xy) for y, xy in enumerate(row)]
+             for x, row in enumerate(meet)]
 
-    yield from fill(0)
+    def key(order: Sequence[int]) -> tuple[int, ...]:
+        return tuple(state[x][y] for i, x in enumerate(order) for y in order[i + 1:])
+
+    order = [0, *min(permutations(range(1, len(meet))), key=key)]
+    return key(order[1:]), [[order.index(meet[x][y]) for y in order] for x in order]
 
 
 def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
@@ -329,7 +321,13 @@ def enumerate_inverse_monoids(max_n: int) -> Iterator[InverseMonoid]:
     commuting-idempotents law, which any inverse monoid must satisfy), then
     filters by the inverse validator and keeps the first per canonical table.
     """
-    yield from _isomorph_free(max_n, _inverse_monoids_of_size)
+    for n in range(1, max_n + 1):
+        seen: set[tuple] = set()
+        for m in _inverse_monoids_of_size(n):
+            key = canonical_table(m.base)
+            if key not in seen:
+                seen.add(key)
+                yield m
 
 
 def _inverse_monoids_of_size(n: int) -> Iterator[InverseMonoid]:

@@ -105,7 +105,6 @@ def _search(a: FiniteMonoid, b: FiniteMonoid,
             candidates: list[list[int]]) -> list[int] | None:
     n = a.n
     fwd = [-1] * n
-    used = [False] * n
 
     def consistent(x: int) -> bool:
         # Check every multiplication instance that the new assignment
@@ -121,22 +120,23 @@ def _search(a: FiniteMonoid, b: FiniteMonoid,
                     return False
         return True
 
-    def assign(depth: int) -> bool:
-        if depth == n:
-            return True
-        x = depth
-        for img in candidates[x]:
-            if used[img]:
-                continue
-            fwd[x] = img
-            used[img] = True
-            if consistent(x) and assign(depth + 1):
-                return True
-            fwd[x] = -1
-            used[img] = False
-        return False
-
-    return list(fwd) if assign(0) else None
+    # A loop over depths, so the stack does not grow with n; nxt[x] is the
+    # position in candidates[x] of the next image to try.
+    nxt = [0] * n
+    x = 0
+    while 0 <= x < n:
+        fwd[x] = -1
+        while fwd[x] < 0 and nxt[x] < len(candidates[x]):
+            fwd[x] = candidates[x][nxt[x]]
+            nxt[x] += 1
+            if fwd[x] in fwd[:x] or not consistent(x):
+                fwd[x] = -1
+        if fwd[x] >= 0:
+            x += 1
+        else:
+            nxt[x] = 0
+            x -= 1
+    return fwd if x == n else None
 
 
 def brute_force_iso(a: FiniteMonoid, b: FiniteMonoid,

@@ -1,4 +1,5 @@
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -27,3 +28,40 @@ def _symmetric_inverse_monoid(k):
                   for img in permutations(range(k), size))
     return tabulate(maps, lambda f, g: tuple(-1 if f[i] < 0 else g[f[i]] for i in range(k)),
                     tuple(range(k)), str)[0]
+
+
+@cache
+def _semilattices_by_scan(n):
+    """Oracle: the meet tables of the full 3^(pairs) scan over strict orders of
+    1..n-1 below the top 0, in scan order, for those that are transitive and
+    where every pair has a meet. The pairs i < j are taken in lexicographic
+    order, with the states incomparable, i below j and j below i."""
+    if n == 1:
+        return [((0,),)]
+    sub = list(range(1, n))
+    pairs = [(i, j) for ai, i in enumerate(sub) for j in sub[ai + 1:]]
+    found = []
+    for states in product(range(3), repeat=len(pairs)):
+        lt = [[False] * n for _ in range(n)]  # lt[x][y]: x strictly below y
+        for x in sub:
+            lt[x][0] = True
+        for (i, j), st in zip(pairs, states):
+            if st == 1:
+                lt[i][j] = True
+            elif st == 2:
+                lt[j][i] = True
+        if any(lt[x][y] and lt[y][z] and not lt[x][z]
+               for x in sub for y in sub for z in sub):
+            continue
+        leq = [[lt[x][y] or x == y for y in range(n)] for x in range(n)]
+        meet_table = []
+        for x in range(n):
+            row = []
+            for y in range(n):
+                lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+                row.append(next((z for z in lower
+                                 if all(leq[w][z] for w in lower)), None))
+            meet_table.append(tuple(row))
+        if all(None not in row for row in meet_table):
+            found.append(tuple(meet_table))
+    return found

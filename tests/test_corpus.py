@@ -1,13 +1,17 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import _semilattices_by_scan
 from imw.constructions import validate_almost_action, validate_gluing_map
-from imw.core import is_group
+from imw.core import is_group, validate_monoid
 from imw.corpus import (
+    _add_atom,
+    _least_strict_order,
     _meet_endomorphisms,
     _monoid_tables,
-    _semilattices_of_size,
     builtin_corpus,
     chain,
     cyclic_group,
@@ -69,9 +73,9 @@ def test_semilattice_counts():
     assert sum(1 for _ in enumerate_semilattices(1)) == 1
     assert sum(1 for _ in enumerate_semilattices(2)) == 2
     by_size = {}
-    for s in enumerate_semilattices(6):
+    for s in enumerate_semilattices(7):
         by_size[s.n] = by_size.get(s.n, 0) + 1
-    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}  # OEIS A006966
+    assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}  # OEIS A006966
 
 
 def test_semilattice_size4_includes_chain_and_diamond():
@@ -86,44 +90,39 @@ def test_semilattice_size4_includes_chain_and_diamond():
     assert found_chain and found_diamond
 
 
-def _semilattices_by_scan(n):
-    """Oracle: the meet tables of the full 3^(pairs) scan over strict orders of
-    1..n-1 below the top 0, in scan order, for those that are transitive and
-    where every pair has a meet."""
-    if n == 1:
-        return [((0,),)]
-    sub = list(range(1, n))
-    pairs = [(i, j) for ai, i in enumerate(sub) for j in sub[ai + 1:]]
-    found = []
-    for states in product(range(3), repeat=len(pairs)):
-        lt = [[False] * n for _ in range(n)]  # lt[x][y]: x strictly below y
-        for x in sub:
-            lt[x][0] = True
-        for (i, j), st in zip(pairs, states):
-            if st == 1:
-                lt[i][j] = True
-            elif st == 2:
-                lt[j][i] = True
-        if any(lt[x][y] and lt[y][z] and not lt[x][z]
-               for x in sub for y in sub for z in sub):
-            continue
-        leq = [[lt[x][y] or x == y for y in range(n)] for x in range(n)]
-        meet_table = []
-        for x in range(n):
-            row = []
-            for y in range(n):
-                lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-                row.append(next((z for z in lower
-                                 if all(leq[w][z] for w in lower)), None))
-            meet_table.append(tuple(row))
-        if all(None not in row for row in meet_table):
-            found.append(tuple(meet_table))
-    return found
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_semilattices_match_the_scan(n):
-    assert [s.base.table for s in _semilattices_of_size(n)] == _semilattices_by_scan(n)
+    # The strict-order scan visits every labelling with the top 0; the
+    # enumerator emits, in scan order, the first table of each class.
+    firsts = []
+    for table in _semilattices_by_scan(n):
+        m = validate_monoid(n, table, 0)
+        if all(brute_force_iso(m, f) is None for f in firsts):
+            firsts.append(m)
+    assert [s.base.table for s in enumerate_semilattices(n) if s.n == n] \
+        == [f.table for f in firsts]
+
+
+def test_every_grown_table_is_a_semilattice():
+    grown = [table for s in enumerate_semilattices(6) for table in _add_atom(s)]
+    assert len(grown) == 37 + 116  # sizes 3..6, and size 7
+    for table in grown:
+        validate_semilattice(validate_monoid(len(table), table, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(enumerate_semilattices(7)))
+       .flatmap(lambda s: st.tuples(st.just(s), st.permutations(range(1, s.n)))))
+def test_least_strict_order_ignores_relabelling(case):
+    s, perm = case
+    perm = [0, *perm]
+    table = [[0] * s.n for _ in range(s.n)]
+    for x in range(s.n):
+        for y in range(s.n):
+            table[perm[x]][perm[y]] = perm[s.meet(x, y)]
+    least = _least_strict_order(s.base.table)
+    assert _least_strict_order(table) == least
+    assert least[1] == [list(row) for row in s.base.table]
 
 
 def test_almost_action_counts():

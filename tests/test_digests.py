@@ -4,10 +4,11 @@ The report and ``extension`` digests were recorded before σ moved to the
 least-idempotent route and before the weakly Schreier verdict was given a
 single code path; the ``decompose`` and ``construct gluing`` digests were
 recorded before Gl(f) was built through F(Y,G); the ``enumerate`` digests
-were recorded before the canonical table refined colours. Any change to the
-bytes of ``check --json`` (via ``emit_report``), or to the exit code and
+were recorded before the canonical table refined colours, and the one of the
+semilattices to n = 7 before they were grown by adding an atom. Any change to
+the bytes of ``check --json`` (via ``emit_report``), or to the exit code and
 stdout of ``extension --json``, ``decompose --json``, ``construct gluing
---json`` or the two reference ``enumerate --json`` runs, shows up here.
+--json`` or the three pinned ``enumerate --json`` runs, shows up here.
 """
 
 import contextlib
@@ -269,3 +270,16 @@ ENUMERATE_EXPECTED = {
 def test_enumerate_bytes_unchanged(kind, max_n):
     code, out = _cli_run(["enumerate", "--kind", kind, "--max-n", str(max_n), "--json"])
     assert (_sha(f"{code}\n{out}"), _sha(out)) == ENUMERATE_EXPECTED[kind]
+
+
+# (exit code plus stdout, stdout alone) of the semilattices to n = 7, recorded
+# while they were still found by a search over labelled strict orders.
+SEMILATTICES_TO_SEVEN_EXPECTED = (
+    "b6fd691c3c12176365ce4b68dc2883fe50416b53fc0286c3b7a6179ec0cb2dce",
+    "ca4228a0193f0f33b0e47330f16c034b86478bd426ca28c766513346c91c3e4a")
+
+
+def test_enumerate_semilattices_to_seven_bytes_unchanged():
+    code, out = _cli_run(["enumerate", "--kind", "semilattice", "--max-n", "7",
+                          "--force-bound", "--json"])
+    assert (_sha(f"{code}\n{out}"), _sha(out)) == SEMILATTICES_TO_SEVEN_EXPECTED

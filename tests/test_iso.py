@@ -1,3 +1,7 @@
+import contextlib
+import inspect
+import io
+import sys
 from itertools import chain as concat
 from itertools import groupby, permutations, product
 
@@ -5,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _semilattices_by_scan
+from imw.cli import cli_main
 from imw.core import direct_product, validate_monoid
 from imw.corpus import (
     _inverse_monoids_of_size,
-    _semilattices_of_size,
     chain,
     cyclic_group,
     diamond,
@@ -22,6 +27,7 @@ from imw.corpus import (
 )
 from imw.errors import NotHomomorphism, SizeLimitExceeded
 from imw.iso import _cells, brute_force_iso, canonical_table, element_profile, verify_iso
+from imw.mtab import serialize_mtab
 
 
 def test_identity_witness():
@@ -176,7 +182,8 @@ def _partition(key, monoids):
 
 
 def test_refined_key_partitions_the_candidates_like_the_profile_key():
-    semilattices = [s.base for n in range(1, 7) for s in _semilattices_of_size(n)]
+    semilattices = [validate_monoid(n, table, 0) for n in range(1, 7)
+                    for table in _semilattices_by_scan(n)]
     monoids = [m.base for n in range(1, 6) for m in _inverse_monoids_of_size(n)] \
         + small_groups()
     assert (len(semilattices), len(monoids)) == (1154, 497 + 8)
@@ -203,3 +210,81 @@ def test_cell_sizes_ignore_relabelling(m, sizes):
         cells = _cells(relabelled)
         assert [len(cell) for cell in cells] == sizes
         assert cells[0] == [relabelled.id]
+
+
+def _iso_by_recursion(a, b):
+    """Oracle: the forward map of brute_force_iso's search written as a
+    recursion, one stack frame per element, or None."""
+    if a.n != b.n:
+        return None
+    n = a.n
+    prof_a = [element_profile(a, x) for x in range(n)]
+    prof_b = [element_profile(b, x) for x in range(n)]
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+    candidates = [[b.id] if x == a.id else
+                  [y for y in range(n) if y != b.id and prof_b[y] == prof_a[x]]
+                  for x in range(n)]
+    fwd = [-1] * n
+    used = [False] * n
+
+    def consistent(x):
+        for u in range(x + 1):
+            fu = fwd[u]
+            for (p, q) in ((u, x), (x, u)):
+                r = a.mul(p, q)
+                if fwd[r] >= 0 and fwd[r] != b.mul(fwd[p], fwd[q]):
+                    return False
+            for q in range(x + 1):
+                if a.mul(u, q) == x and b.mul(fu, fwd[q]) != fwd[x]:
+                    return False
+        return True
+
+    def assign(x):
+        if x == n:
+            return True
+        for img in candidates[x]:
+            if used[img]:
+                continue
+            fwd[x] = img
+            used[img] = True
+            if consistent(x) and assign(x + 1):
+                return True
+            fwd[x] = -1
+            used[img] = False
+        return False
+
+    return tuple(fwd) if assign(0) else None
+
+
+def test_search_finds_the_witness_of_the_recursion(corpus_monoids):
+    # Each monoid also meets a relabelled copy, so the search must backtrack
+    # to find a witness other than the identity.
+    monoids = [m.base for _, m in corpus_monoids] + ENUMERATED \
+        + [m.base for m in enumerate_inverse_monoids(5) if m.n == 5]
+    monoids += [_relabel(m, [*range(m.n)][::-1]) for m in monoids]
+    found = 0
+    for a in monoids:
+        for b in monoids:
+            if a.n == b.n:
+                w = brute_force_iso(a, b)
+                assert (w and w.forward.values) == _iso_by_recursion(a, b)
+                found += w is not None
+    assert found >= 2 * len(monoids)  # each meets itself and its relabelled copy
+
+
+def test_iso_runs_in_a_stack_that_a_recursion_per_element_overflows(tmp_path):
+    # 256 elements against a stack limit about 100 frames above the caller's.
+    path = tmp_path / "z16xz16.mtab"
+    path.write_text(serialize_mtab(direct_product(cyclic_group(16), cyclic_group(16))),
+                    encoding="utf-8")
+    out = io.StringIO()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["iso", str(path), str(path), "--max-iso-n", "256"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert out.getvalue().startswith("isomorphic: (1,1)->(1,1), ")
