@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -165,6 +165,32 @@ def tabulate(elements: Sequence, mul: Callable, identity, label: Callable[..., s
     table = [[index[mul(x, y)] for y in elements] for x in elements]
     labels = [label(x) for x in elements]
     return validate_monoid(len(elements), table, index[identity], labels), index
+
+
+def backtrack(domains: Sequence[Iterable], accept: Callable[[list, int], bool]) \
+        -> Iterator[tuple]:
+    """Every tuple a with a[d] drawn from domains[d] and accept(a, d) true as
+    each a[d] is set, in lexicographic order; accept reads only a[:d+1].
+
+    A loop over depths, so the stack does not grow with len(domains).
+    """
+    if not domains:
+        yield ()
+        return
+    a: list = [None] * len(domains)
+    todo = [iter(domains[0])]  # per depth, the values not yet tried
+    while todo:
+        d = len(todo) - 1
+        for v in todo[d]:
+            a[d] = v
+            if accept(a, d):
+                if d + 1 == len(a):
+                    yield tuple(a)
+                else:
+                    todo.append(iter(domains[d + 1]))
+                break
+        else:
+            todo.pop()
 
 
 def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,

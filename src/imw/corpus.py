@@ -21,7 +21,7 @@ from .constructions import (
     validate_almost_action,
     validate_gluing_map,
 )
-from .core import FiniteMonoid, is_group, tabulate, validate_monoid
+from .core import FiniteMonoid, backtrack, is_group, tabulate, validate_monoid
 from .errors import BudgetExceeded, NoInverse, NonUniqueInverse
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse, validate_semilattice
 from .iso import canonical_table
@@ -232,20 +232,8 @@ def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
     for y in range(n):
         for z in range(y, n):
             checks[max(y, z, meet[y][z])].append((y, z, meet[y][z]))
-    row = [0] * n
-    rows = []
-
-    def fill(depth: int) -> None:
-        if depth == n:
-            rows.append(tuple(row))
-            return
-        for v in range(n):
-            row[depth] = v
-            if all(row[yz] == meet[row[y]][row[z]] for y, z, yz in checks[depth]):
-                fill(depth + 1)
-
-    fill(0)
-    return rows
+    return list(backtrack([range(n)] * n, lambda row, d: all(
+        row[yz] == meet[row[y]][row[z]] for y, z, yz in checks[d])))
 
 
 def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
@@ -273,21 +261,16 @@ def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
     dot[group.id] = tuple(range(y_n))
     tried = 0
 
-    def fill(depth: int) -> Iterator[tuple]:
+    def accept(chosen: list, d: int) -> bool:
         nonlocal tried
-        if depth == len(others):
-            yield tuple(dot)
-            return
-        for row in rows:
-            tried += 1
-            if tried > budget:
-                raise BudgetExceeded(tried, budget)
-            dot[others[depth]] = row
-            if all(dot[g][dot[h][y]] == meet[dot[gh][y]][dot[g][top]]
-                   for g, h, gh in checks[depth] for y in range(y_n)):
-                yield from fill(depth + 1)
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded(tried, budget)
+        dot[others[d]] = chosen[d]
+        return all(dot[g][dot[h][y]] == meet[dot[gh][y]][dot[g][top]]
+                   for g, h, gh in checks[d] for y in range(y_n))
 
-    yield from fill(0)
+    return (tuple(dot) for _ in backtrack([rows] * len(others), accept))
 
 
 def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid,

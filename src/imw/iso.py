@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Sequence
 
-from .core import FiniteMonoid, MonoidMap, make_monoid_map
+from .core import FiniteMonoid, MonoidMap, backtrack, make_monoid_map
 from .errors import NotInverse, SizeLimitExceeded
 
 DEFAULT_ISO_LIMIT = 12
@@ -102,41 +102,21 @@ def canonical_table(m: FiniteMonoid) -> tuple[tuple[int, ...], ...]:
 
 
 def _search(a: FiniteMonoid, b: FiniteMonoid,
-            candidates: list[list[int]]) -> list[int] | None:
-    n = a.n
-    fwd = [-1] * n
+            candidates: list[list[int]]) -> tuple[int, ...] | None:
+    """The first injective map x -> fwd[x] from candidates[x] that keeps every
+    product; an instance p*q = r is checked at the depth of its last index,
+    the first at which fwd[p], fwd[q] and fwd[r] are all set."""
+    ta, tb = a.table, b.table
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
+    for p, row in enumerate(ta):
+        for q, r in enumerate(row):
+            checks[max(p, q, r)].append((p, q, r))
 
-    def consistent(x: int) -> bool:
-        # Check every multiplication instance that the new assignment
-        # completes: x may appear as a factor or as the product.
-        for u in range(x + 1):
-            fu = fwd[u]
-            for (p, q) in ((u, x), (x, u)):
-                r = a.mul(p, q)
-                if fwd[r] >= 0 and fwd[r] != b.mul(fwd[p], fwd[q]):
-                    return False
-            for q in range(x + 1):
-                if a.mul(u, q) == x and b.mul(fu, fwd[q]) != fwd[x]:
-                    return False
-        return True
+    def accept(fwd: list, x: int) -> bool:
+        return fwd[x] not in fwd[:x] and all(
+            tb[fwd[p]][fwd[q]] == fwd[r] for p, q, r in checks[x])
 
-    # A loop over depths, so the stack does not grow with n; nxt[x] is the
-    # position in candidates[x] of the next image to try.
-    nxt = [0] * n
-    x = 0
-    while 0 <= x < n:
-        fwd[x] = -1
-        while fwd[x] < 0 and nxt[x] < len(candidates[x]):
-            fwd[x] = candidates[x][nxt[x]]
-            nxt[x] += 1
-            if fwd[x] in fwd[:x] or not consistent(x):
-                fwd[x] = -1
-        if fwd[x] >= 0:
-            x += 1
-        else:
-            nxt[x] = 0
-            x -= 1
-    return fwd if x == n else None
+    return next(backtrack(candidates, accept), None)
 
 
 def brute_force_iso(a: FiniteMonoid, b: FiniteMonoid,

@@ -16,7 +16,7 @@ from .constructions import (
     gluing,
     iso_f_product_crossed,
 )
-from .core import FiniteMonoid, is_group, make_congruence, quotient
+from .core import FiniteMonoid, backtrack, is_group, make_congruence, quotient
 from .corpus import (
     builtin_corpus,
     cyclic_group,
@@ -225,21 +225,12 @@ def criterion_5(ctx: SuiteContext) -> CriterionResult:
 
 def all_congruences(m: FiniteMonoid):
     """Every congruence of m, via restricted-growth partition enumeration."""
-    n = m.n
-    assignment = [0] * n
-
-    def grow(i: int, maxc: int):
-        if i == n:
-            try:
-                yield make_congruence(m, assignment)
-            except NotACongruence:
-                pass
-            return
-        for c in range(maxc + 1):
-            assignment[i] = c
-            yield from grow(i + 1, max(maxc, c + 1))
-
-    yield from grow(0, 0)
+    for classes in backtrack([range(x + 1) for x in range(m.n)],
+                             lambda a, x: a[x] <= max(a[:x], default=-1) + 1):
+        try:
+            yield make_congruence(m, classes)
+        except NotACongruence:
+            pass
 
 
 def sigma_by_exhaustion(m: InverseMonoid) -> tuple[tuple[int, ...], int]:

@@ -1,11 +1,14 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _semilattices_by_scan, _symmetric_inverse_monoid
 from imw.core import (
     Congruence,
     _generators,
+    backtrack,
     direct_product,
     generated_submonoid,
     identity_congruence,
@@ -349,3 +352,20 @@ def test_congruence_witness_is_the_first_conflicting_pair():
     assert exc.value.witness == ((0, 4), (1, 5))
     assert str(exc.value) == \
         "relation is not compatible with multiplication: ((0, 4), (1, 5))"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=5),
+       st.functions(like=lambda prefix: None, returns=st.booleans(), pure=True))
+@example([], lambda prefix: False)  # zero positions: one empty tuple
+@example([[0, 1], [], [2]], lambda prefix: True)  # an empty domain: nothing
+def test_backtrack_is_the_filtered_product_in_order(domains, keep):
+    # keep sees only the prefix a[:d+1], so a tuple survives iff each of its
+    # prefixes is kept, and the product lists tuples in lexicographic order.
+    expected = [a for a in product(*domains)
+                if all(keep(a[:d + 1]) for d in range(len(a)))]
+    assert list(backtrack(domains, lambda a, d: keep(tuple(a[:d + 1])))) == expected
+    if not domains:
+        assert expected == [()]
+    elif not all(domains):
+        assert expected == []

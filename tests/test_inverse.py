@@ -2,6 +2,7 @@ import ast
 import sys
 from collections import Counter
 from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,12 @@ from imw.corpus import (
     m7,
     sym3,
 )
-from imw.errors import InternalCharacterizationFailure, NoInverse, NonUniqueInverse
+from imw.errors import (
+    InternalCharacterizationFailure,
+    NoInverse,
+    NonUniqueInverse,
+    NotACongruence,
+)
 from imw.inverse import (
     idempotent_semilattice,
     is_clifford,
@@ -241,6 +247,33 @@ def test_group_quotient_iff_x_inv_x_is_one(corpus_monoids):
             assert by_inverses == is_group(quotient(m.base, cong)[0])
             checked += 1
     assert checked == 129
+
+
+def _congruences_by_scan(m):
+    """Oracle: the restricted-growth strings of the full n^n scan, in scan
+    order, that make_congruence accepts, as class vectors."""
+    found = []
+    for a in product(range(m.n), repeat=m.n):
+        if all(a[x] <= max(a[:x], default=-1) + 1 for x in range(m.n)):
+            try:
+                found.append(make_congruence(m, a).class_of)
+            except NotACongruence:
+                pass
+    return found
+
+
+@pytest.mark.parametrize("source", ["enumerated", "corpus"])
+def test_all_congruences_match_the_scan(source, corpus_monoids):
+    if source == "enumerated":
+        cases, count = [m.base for m in enumerate_inverse_monoids(5)], 346
+    else:
+        cases, count = [m.base for _, m in corpus_monoids if m.n <= 6], 44
+    total = 0
+    for m in cases:
+        got = [cong.class_of for cong in all_congruences(m)]
+        assert got == _congruences_by_scan(m)
+        total += len(got)
+    assert total == count
 
 
 def test_sigma_matches_union_find_definition(corpus_monoids):
