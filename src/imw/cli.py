@@ -52,7 +52,7 @@ EXIT_USAGE = 2
 
 # Largest --max-n each table enumerator accepts without --force-bound.
 SEMILATTICE_BOUND = 6
-INVERSE_MONOID_BOUND = 5
+INVERSE_MONOID_BOUND = 6
 
 # The enumerate flags each --kind reads; giving any other is a usage error.
 ENUMERATE_FLAGS = {"semilattice": ("max_n", "force_bound"),

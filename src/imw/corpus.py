@@ -10,7 +10,7 @@ counts can be pinned as regression values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Iterator, Sequence
 
 from .constructions import (
@@ -300,39 +300,50 @@ def enumerate_inverse_monoids(max_n: int) -> Iterator[InverseMonoid]:
     """All inverse monoids of size 1..max_n up to isomorphism.
 
     Backtracks over Cayley tables with the identity row and column fixed,
-    pruning by associativity on every fully determined triple (plus the
-    commuting-idempotents law, which any inverse monoid must satisfy), then
-    filters by the inverse validator and keeps the first per canonical table.
+    pruning by associativity on every fully determined triple, by the
+    commuting-idempotents law (which any inverse monoid must satisfy) and by
+    lex-leader: a table is dropped as soon as a relabelling that fixes the
+    identity makes it lexicographically smaller. So each isomorphism class
+    yields only its least table, and those that pass the inverse validator
+    are emitted.
     """
     for n in range(1, max_n + 1):
-        seen: set[tuple] = set()
-        for m in _inverse_monoids_of_size(n):
-            key = canonical_table(m.base)
-            if key not in seen:
-                seen.add(key)
-                yield m
-
-
-def _inverse_monoids_of_size(n: int) -> Iterator[InverseMonoid]:
-    for table in _monoid_tables(n):
-        try:
-            inv = validate_inverse(validate_monoid(n, table, 0))
-        except (NoInverse, NonUniqueInverse):
-            continue
-        yield inv
+        for table in _monoid_tables(n):
+            try:
+                yield validate_inverse(validate_monoid(n, table, 0))
+            except (NoInverse, NonUniqueInverse):
+                continue
 
 
 def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
     """Complete associative tables with identity 0 and commuting idempotents,
-    in lexicographic order."""
+    in lexicographic order, one for each class under the relabellings that
+    fix 0: its least. Both laws survive such a relabelling pi, so a partial
+    table T is dropped as soon as pi(T) is smaller than T at the first cell
+    where the two differ (lex-leader pruning)."""
     t = [[-1] * n for _ in range(n)]
     for j in range(n):
         t[0][j] = j
         t[j][0] = j
     rest = range(1, n)
     cells = [(i, j) for i in rest for j in rest]
+    depth_of = {cell: d for d, cell in enumerate(cells)}
+    # waiting[d]: the relabellings pi other than the identity whose next
+    # comparison can be made once cells[d] is filled, each as (pi, src, p):
+    # p is the first depth at which pi(T) and T are not yet known to agree,
+    # and src[e] the depth of the cell that pi(T)[cells[e]] =
+    # pi(T[pi^-1 i][pi^-1 j]) reads. The identity row and column are the same
+    # in pi(T) and T.
+    waiting: list[list[tuple]] = [[] for _ in cells]
+    for image in islice(permutations(rest), 1, None):
+        pi = (0, *image)
+        inv = sorted(range(n), key=pi.__getitem__)
+        src = [depth_of[inv[i], inv[j]] for i, j in cells]
+        waiting[src[0]].append((pi, src, 0))
     # at[v]: the filled cells off the identity row and column whose value is v.
     at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # vals[d]: the value of cells[d], for the filled depths.
+    vals = [-1] * len(cells)
 
     def consistent(i: int, j: int) -> bool:
         v = t[i][j]
@@ -361,16 +372,45 @@ def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
             return False
         return True
 
+    def leader(depth: int) -> list | None:
+        """Move each relabelling waiting on cells[depth] on to the depth it
+        waits on next, and return those depths; or undo the moves and return
+        None if one of them makes T smaller. A relabelling that makes T
+        greater, or that agrees with T on every cell, waits on nothing."""
+        moved = []
+        for pi, src, p in waiting[depth]:
+            while p <= depth and src[p] <= depth and pi[vals[src[p]]] == vals[p]:
+                p += 1
+            if p > depth or src[p] > depth:
+                if p < len(cells):
+                    d = max(p, src[p])
+                    waiting[d].append((pi, src, p))
+                    moved.append(d)
+            elif pi[vals[src[p]]] < vals[p]:
+                for d in moved:
+                    waiting[d].pop()
+                return None
+        return moved
+
     def fill(depth: int) -> Iterator[list[list[int]]]:
         if depth == len(cells):
             yield [row[:] for row in t]
             return
         i, j = cells[depth]
-        for v in range(n):
+        # A relabelling that agrees with T before cells[depth] and reads that
+        # cell from an earlier one caps it: a greater value makes pi(T) smaller.
+        top = min((pi[vals[src[p]]] for pi, src, p in waiting[depth]
+                   if p == depth and src[p] < depth), default=n - 1)
+        for v in range(top + 1):
             t[i][j] = v
+            vals[depth] = v
             at[v].append((i, j))
             if consistent(i, j):
-                yield from fill(depth + 1)
+                moved = leader(depth)
+                if moved is not None:
+                    yield from fill(depth + 1)
+                    for d in moved:
+                        waiting[d].pop()
             at[v].pop()
         t[i][j] = -1
 

@@ -105,16 +105,24 @@ def _search(a: FiniteMonoid, b: FiniteMonoid,
             candidates: list[list[int]]) -> tuple[int, ...] | None:
     """The first injective map x -> fwd[x] from candidates[x] that keeps every
     product; an instance p*q = r is checked at the depth of its last index,
-    the first at which fwd[p], fwd[q] and fwd[r] are all set."""
+    the first at which fwd[p], fwd[q] and fwd[r] are all set. Those with x as
+    a factor are read from row and column x; only those whose product
+    exceeds both factors are indexed, under the product."""
     ta, tb = a.table, b.table
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
+    above: list[list[tuple[int, int]]] = [[] for _ in range(a.n)]
     for p, row in enumerate(ta):
         for q, r in enumerate(row):
-            checks[max(p, q, r)].append((p, q, r))
+            if r > p and r > q:
+                above[r].append((p, q))
 
     def accept(fwd: list, x: int) -> bool:
-        return fwd[x] not in fwd[:x] and all(
-            tb[fwd[p]][fwd[q]] == fwd[r] for p, q, r in checks[x])
+        fx = fwd[x]
+        if fx in fwd[:x]:
+            return False
+        image = tb[fx]
+        return all(image[fwd[q]] == fwd[r] for q, r in enumerate(ta[x][:x + 1]) if r <= x) \
+            and all(tb[fwd[p]][fx] == fwd[ta[p][x]] for p in range(x) if ta[p][x] <= x) \
+            and all(tb[fwd[p]][fwd[q]] == fx for p, q in above[x])
 
     return next(backtrack(candidates, accept), None)
 

@@ -65,3 +65,57 @@ def _semilattices_by_scan(n):
         if all(None not in row for row in meet_table):
             found.append(tuple(meet_table))
     return found
+
+
+@cache
+def _monoid_tables_by_scan(n):
+    """Oracle: every complete table with identity 0, in lexicographic order,
+    from the backtracking over cells in row-major order that, for each value,
+    rescans every cell for the associativity instances the new cell
+    completes, and checks that idempotents commute. It prunes by no
+    relabelling, so each class comes with all its tables."""
+    t = [[-1] * n for _ in range(n)]
+    for j in range(n):
+        t[0][j] = j
+        t[j][0] = j
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def consistent(i, j):
+        v = t[i][j]
+        for z in range(n):
+            jz = t[j][z]
+            if t[v][z] >= 0 and jz >= 0 and t[i][jz] >= 0 and t[v][z] != t[i][jz]:
+                return False
+        for x in range(n):
+            xi = t[x][i]
+            if xi >= 0 and t[xi][j] >= 0 and t[x][v] >= 0 and t[xi][j] != t[x][v]:
+                return False
+        for x in range(n):
+            for y in range(n):
+                if t[x][y] == i:
+                    yj = t[y][j]
+                    if yj >= 0 and t[x][yj] >= 0 and t[x][yj] != v:
+                        return False
+        for y in range(n):
+            for z in range(n):
+                if t[y][z] == j:
+                    iy = t[i][y]
+                    if iy >= 0 and t[iy][z] >= 0 and t[iy][z] != v:
+                        return False
+        return not (t[i][i] == i and t[j][j] == j and t[j][i] >= 0 and t[j][i] != v)
+
+    found = []
+
+    def fill(depth):
+        if depth == len(cells):
+            found.append([row[:] for row in t])
+            return
+        i, j = cells[depth]
+        for v in range(n):
+            t[i][j] = v
+            if consistent(i, j):
+                fill(depth + 1)
+        t[i][j] = -1
+
+    fill(0)
+    return found

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _semilattices_by_scan, _symmetric_inverse_monoid
+from conftest import (_monoid_tables_by_scan, _semilattices_by_scan,
+                      _symmetric_inverse_monoid)
 from imw.core import (
     Congruence,
     _generators,
@@ -21,7 +22,6 @@ from imw.core import (
     validate_monoid,
 )
 from imw.corpus import (
-    _monoid_tables,
     brandt_b2_1,
     builtin_corpus,
     chain,
@@ -252,8 +252,8 @@ def _expect_oracle(table):
 
 
 def _small_associative_tables():
-    """The tables of _monoid_tables(n) for 2 <= n <= 4, all associative."""
-    return [t for n in range(2, 5) for t in _monoid_tables(n)]
+    """The tables of the unpruned scan for 2 <= n <= 4, all associative."""
+    return [t for n in range(2, 5) for t in _monoid_tables_by_scan(n)]
 
 
 def _random_table(n, cells):
@@ -322,7 +322,7 @@ def test_validator_accepts_every_corpus_and_enumerated_table():
             m = inst.payload if inst.kind != "semilattice" else inst.payload.base
             again = validate_monoid(m.n, m.table, m.id, m.labels)
             assert (again.table, again.labels) == (m.table, m.labels)
-    tables = [t for n in range(1, 6) for t in _monoid_tables(n)]
+    tables = [t for n in range(1, 6) for t in _monoid_tables_by_scan(n)]
     assert len(tables) == 1 + 2 + 11 + 156 + 4122
     for table in tables:
         assert validate_monoid(len(table), table, 0).table == tuple(map(tuple, table))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _semilattices_by_scan
+from conftest import _monoid_tables_by_scan, _semilattices_by_scan
 from imw.constructions import validate_almost_action, validate_gluing_map
 from imw.core import is_group, validate_monoid
 from imw.corpus import (
@@ -26,7 +26,7 @@ from imw.corpus import (
 )
 from imw.errors import BudgetExceeded
 from imw.inverse import validate_inverse, validate_semilattice
-from imw.iso import brute_force_iso
+from imw.iso import brute_force_iso, canonical_table
 from imw.report import analyze
 
 
@@ -266,60 +266,17 @@ def test_gluing_map_counts():
     assert (0, 1, 1, 1, 1, 1) in {gm.f for gm in s3_maps}
 
 
-def _monoid_tables_by_scan(n):
-    """Oracle: the backtracking over cells in row-major order that, for each
-    value, rescans every cell for the associativity instances the new cell
-    completes, and checks that idempotents commute."""
-    t = [[-1] * n for _ in range(n)]
-    for j in range(n):
-        t[0][j] = j
-        t[j][0] = j
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-
-    def consistent(i, j):
-        v = t[i][j]
-        for z in range(n):
-            jz = t[j][z]
-            if t[v][z] >= 0 and jz >= 0 and t[i][jz] >= 0 and t[v][z] != t[i][jz]:
-                return False
-        for x in range(n):
-            xi = t[x][i]
-            if xi >= 0 and t[xi][j] >= 0 and t[x][v] >= 0 and t[xi][j] != t[x][v]:
-                return False
-        for x in range(n):
-            for y in range(n):
-                if t[x][y] == i:
-                    yj = t[y][j]
-                    if yj >= 0 and t[x][yj] >= 0 and t[x][yj] != v:
-                        return False
-        for y in range(n):
-            for z in range(n):
-                if t[y][z] == j:
-                    iy = t[i][y]
-                    if iy >= 0 and t[iy][z] >= 0 and t[iy][z] != v:
-                        return False
-        return not (t[i][i] == i and t[j][j] == j and t[j][i] >= 0 and t[j][i] != v)
-
-    found = []
-
-    def fill(depth):
-        if depth == len(cells):
-            found.append([row[:] for row in t])
-            return
-        i, j = cells[depth]
-        for v in range(n):
-            t[i][j] = v
-            if consistent(i, j):
-                fill(depth + 1)
-        t[i][j] = -1
-
-    fill(0)
-    return found
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_monoid_tables_match_the_scan(n):
-    assert list(_monoid_tables(n)) == _monoid_tables_by_scan(n)
+    # The unpruned scan yields every table of a class under the relabellings
+    # that fix 0; the pruned search keeps the first, which is the least.
+    seen, first = set(), []
+    for table in _monoid_tables_by_scan(n):
+        key = canonical_table(validate_monoid(n, table, 0))
+        if key not in seen:
+            seen.add(key)
+            first.append(table)
+    assert list(_monoid_tables(n)) == first
 
 
 def test_inverse_monoid_counts():
@@ -335,19 +292,20 @@ def test_inverse_monoid_counts():
     assert by_size == {1: 1, 2: 2, 3: 4, 4: 11}
 
 
-def test_hierarchy_counts_up_to_five():
-    # The README's note on m7 as far as n = 5. F-inverse implies E-unitary, so
-    # equal counts mean every E-unitary class is F-inverse, and Clifford too.
-    # n = 6 (1, 2, 3, 7, 12, 33) takes the full table search, about 1,000 s.
-    counts = {key: [0] * 5 for key in ("inverse", "e_unitary", "f_inverse",
+def test_hierarchy_counts_up_to_six():
+    # The README's note on m7. F-inverse implies E-unitary, so equal counts
+    # mean every E-unitary class is F-inverse, and Clifford too.
+    counts = {key: [0] * 6 for key in ("inverse", "e_unitary", "f_inverse",
                                        "f_inverse_clifford")}
-    for m in enumerate_inverse_monoids(5):
+    for m in enumerate_inverse_monoids(6):
         counts["inverse"][m.n - 1] += 1
         counts["e_unitary"][m.n - 1] += m.e_unitary.holds
         counts["f_inverse"][m.n - 1] += m.f_inverse.holds
         counts["f_inverse_clifford"][m.n - 1] += m.f_inverse.holds and m.clifford.holds
-    assert counts == {"inverse": [1, 2, 4, 11, 27], "e_unitary": [1, 2, 3, 7, 12],
-                      "f_inverse": [1, 2, 3, 7, 12], "f_inverse_clifford": [1, 2, 3, 7, 12]}
+    assert counts == {"inverse": [1, 2, 4, 11, 27, 89],
+                      "e_unitary": [1, 2, 3, 7, 12, 33],
+                      "f_inverse": [1, 2, 3, 7, 12, 33],
+                      "f_inverse_clifford": [1, 2, 3, 7, 12, 33]}
 
 
 def test_enumerations_are_deterministic():
@@ -367,6 +325,10 @@ def test_no_two_emitted_instances_isomorphic():
     for i, a in enumerate(monoids):
         for b in monoids[i + 1:]:
             assert brute_force_iso(a, b) is None
+    # To n = 6 by canonical table, a complete invariant: the enumerator keeps
+    # no set of the classes it has emitted.
+    keys = [canonical_table(m.base) for m in enumerate_inverse_monoids(6)]
+    assert len(keys) == 134 and len(set(keys)) == len(keys)
     semis = [s.base for s in enumerate_semilattices(5)]
     for i, a in enumerate(semis):
         for b in semis[i + 1:]:

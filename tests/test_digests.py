@@ -4,11 +4,13 @@ The report and ``extension`` digests were recorded before σ moved to the
 least-idempotent route and before the weakly Schreier verdict was given a
 single code path; the ``decompose`` and ``construct gluing`` digests were
 recorded before Gl(f) was built through F(Y,G); the ``enumerate`` digests
-were recorded before the canonical table refined colours, and the one of the
-semilattices to n = 7 before they were grown by adding an atom. Any change to
-the bytes of ``check --json`` (via ``emit_report``), or to the exit code and
-stdout of ``extension --json``, ``decompose --json``, ``construct gluing
---json`` or the three pinned ``enumerate --json`` runs, shows up here.
+were recorded before the canonical table refined colours, the one of the
+semilattices to n = 7 before they were grown by adding an atom, and the one of
+the inverse monoids to n = 6 before their search kept only the least table of
+each class. Any change to the bytes of ``check --json`` (via
+``emit_report``), or to the exit code and stdout of ``extension --json``,
+``decompose --json``, ``construct gluing --json`` or the four pinned
+``enumerate --json`` runs, shows up here.
 """
 
 import contextlib
@@ -283,3 +285,17 @@ def test_enumerate_semilattices_to_seven_bytes_unchanged():
     code, out = _cli_run(["enumerate", "--kind", "semilattice", "--max-n", "7",
                           "--force-bound", "--json"])
     assert (_sha(f"{code}\n{out}"), _sha(out)) == SEMILATTICES_TO_SEVEN_EXPECTED
+
+
+# (exit code plus stdout, stdout alone) of the inverse monoids to n = 6,
+# recorded while each class was kept as the first table of its canonical
+# table among all the tables of a search with no lex-leader pruning.
+INVERSE_MONOIDS_TO_SIX_EXPECTED = (
+    "6dfa5bd65a10dfde3e9de1dd59e72c1ca2bc30c5b5916522c665a78976f31ecc",
+    "d3f564d685a224b97b774dce6563ff1b1d011d01202dd0aa508a1c5630c2c495")
+
+
+def test_enumerate_inverse_monoids_to_six_bytes_unchanged():
+    code, out = _cli_run(["enumerate", "--kind", "inverse-monoid", "--max-n", "6",
+                          "--force-bound", "--json"])
+    assert (_sha(f"{code}\n{out}"), _sha(out)) == INVERSE_MONOIDS_TO_SIX_EXPECTED

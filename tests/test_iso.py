@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _semilattices_by_scan
+from conftest import _monoid_tables_by_scan, _semilattices_by_scan
 from imw.cli import cli_main
 from imw.core import direct_product, validate_monoid
 from imw.corpus import (
-    _inverse_monoids_of_size,
     chain,
     cyclic_group,
     diamond,
@@ -25,7 +24,8 @@ from imw.corpus import (
     sym3,
     trivial_monoid,
 )
-from imw.errors import NotHomomorphism, SizeLimitExceeded
+from imw.errors import NoInverse, NonUniqueInverse, NotHomomorphism, SizeLimitExceeded
+from imw.inverse import validate_inverse
 from imw.iso import _cells, brute_force_iso, canonical_table, element_profile, verify_iso
 from imw.mtab import serialize_mtab
 
@@ -175,6 +175,14 @@ def profile_canonical_table(m):
     return min(tables)
 
 
+def _is_inverse(m):
+    try:
+        validate_inverse(m)
+    except (NoInverse, NonUniqueInverse):
+        return False
+    return True
+
+
 def _partition(key, monoids):
     """For each monoid, the index of the first one with the same key."""
     first = {}
@@ -184,8 +192,9 @@ def _partition(key, monoids):
 def test_refined_key_partitions_the_candidates_like_the_profile_key():
     semilattices = [validate_monoid(n, table, 0) for n in range(1, 7)
                     for table in _semilattices_by_scan(n)]
-    monoids = [m.base for n in range(1, 6) for m in _inverse_monoids_of_size(n)] \
-        + small_groups()
+    tables = [validate_monoid(n, table, 0) for n in range(1, 6)
+              for table in _monoid_tables_by_scan(n)]
+    monoids = [m for m in tables if _is_inverse(m)] + small_groups()
     assert (len(semilattices), len(monoids)) == (1154, 497 + 8)
     for candidates in (semilattices, monoids):
         assert _partition(canonical_table, candidates) \
