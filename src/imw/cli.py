@@ -51,7 +51,7 @@ EXIT_PROPERTY_FALSE = 1
 EXIT_USAGE = 2
 
 # Largest --max-n each table enumerator accepts without --force-bound.
-SEMILATTICE_BOUND = 6
+SEMILATTICE_BOUND = 8
 INVERSE_MONOID_BOUND = 6
 
 # The enumerate flags each --kind reads; giving any other is a usage error.

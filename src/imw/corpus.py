@@ -24,7 +24,6 @@ from .constructions import (
 from .core import FiniteMonoid, backtrack, is_group, tabulate, validate_monoid
 from .errors import BudgetExceeded, NoInverse, NonUniqueInverse
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse, validate_semilattice
-from .iso import canonical_table
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -173,18 +172,18 @@ def enumerate_semilattices(max_n: int) -> Iterator[SemilatticeMonoid]:
     A finite semilattice monoid is a lattice, and deleting an atom other than
     the top leaves a lattice (Heitzig & Reinhold, "Counting finite lattices",
     2002). So from size 3 on, the classes grow from those one smaller by
-    ``_add_atom``, deduped by canonical table; each is emitted in the
-    labelling of its ``_least_strict_order``, sorted by that order.
+    ``_add_atom``, deduped by ``_least_strict_order``, a complete invariant;
+    each is emitted in the labelling of that order, sorted by it.
     """
     classes = [validate_semilattice(trivial_monoid())]
     for n in range(1, max_n + 1):
         if n == 2:
             classes = [validate_semilattice(validate_monoid(2, [[0, 1], [1, 1]], 0))]
         elif n > 2:
-            grown = {canonical_table(validate_monoid(n, table, 0))
-                     for s in classes for table in _add_atom(s)}
-            classes = [validate_semilattice(validate_monoid(n, table, 0))
-                       for _, table in sorted(map(_least_strict_order, grown))]
+            keyed = dict(_least_strict_order(table)
+                         for s in classes for table in _add_atom(s))
+            classes = [validate_semilattice(validate_monoid(n, keyed[key], 0))
+                       for key in sorted(keyed)]
         yield from classes
 
 
@@ -208,15 +207,40 @@ def _least_strict_order(meet: Sequence[Sequence[int]]) -> tuple[tuple, list[list
     """The least strict order over the labellings of a lattice with top 0 that
     keep the top, and the meet table in that labelling. The order gives the
     pairs i < j of 1..n-1 in lexicographic order the states 0 (incomparable),
-    1 (i below j) and 2 (j below i)."""
+    1 (i below j) and 2 (j below i); every isomorphism keeps the top, so two
+    lattices get the same order iff they are isomorphic.
+
+    Found by individualisation and refinement, one element at a time. Each
+    branch keeps the elements left as an ordered partition, one cell at
+    first. The next element x comes from the first cell, and every cell is
+    split by its state with x, in the order 0, 1, 2. x's block of the order,
+    its states with the elements after it, is least when they follow these
+    cells, so this fixes the block. Level by level only the branches with
+    the least block survive, and ties branch.
+    """
     state = [[(x == xy) + 2 * (y == xy) for y, xy in enumerate(row)]
              for x, row in enumerate(meet)]
-
-    def key(order: Sequence[int]) -> tuple[int, ...]:
-        return tuple(state[x][y] for i, x in enumerate(order) for y in order[i + 1:])
-
-    order = [0, *min(permutations(range(1, len(meet))), key=key)]
-    return key(order[1:]), [[order.index(meet[x][y]) for y in order] for x in order]
+    branches = [([0], [list(range(1, len(meet)))])]
+    key: list[int] = []
+    for _ in range(1, len(meet)):
+        least, survivors = None, []
+        for order, (first, *cells) in branches:
+            for x in first:
+                row, split = state[x], []
+                for cell in ([y for y in first if y != x], *cells):
+                    parts: tuple[list[int], ...] = ([], [], [])
+                    for y in cell:
+                        parts[row[y]].append(y)
+                    split += filter(None, parts)
+                block = [row[y] for cell in split for y in cell]
+                if least is None or block < least:
+                    least, survivors = block, []
+                if block == least:
+                    survivors.append(([*order, x], split))
+        key += least
+        branches = survivors
+    order = branches[0][0]
+    return tuple(key), [[order.index(meet[x][y]) for y in order] for x in order]
 
 
 def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:

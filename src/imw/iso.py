@@ -2,13 +2,12 @@
 
 ``verify_iso`` confirms an explicitly given pair of maps; ``brute_force_iso``
 searches for one from scratch and is the independent oracle that the theorems
-and ``canonical_table``, a complete isomorphism invariant, are checked against.
+are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
 from typing import Sequence
 
 from .core import FiniteMonoid, MonoidMap, backtrack, make_monoid_map
@@ -54,51 +53,6 @@ def element_profile(m: FiniteMonoid, x: int) -> tuple[bool, int, int, int]:
     geninv = sum(1 for y in range(m.n)
                  if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y)
     return (m.is_idempotent(x), index, period, geninv)
-
-
-def _rank(signatures: list) -> list[int]:
-    """Each signature's rank among the distinct signatures, in sorted order."""
-    rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return [rank[sig] for sig in signatures]
-
-
-def _cells(m: FiniteMonoid) -> list[list[int]]:
-    """m's elements grouped by colour refinement, the cells in colour order.
-
-    The identity starts alone in the least colour, and every other x in the
-    colour of its profile. Each round refines the colour of x by the
-    multiset, over all y, of (c(y), c(xy), c(yx), xy = x, xy = y, yx = x,
-    yx = y), until the number of colours stops growing. Colours are ranks of
-    signatures, never element indices, so an isomorphism maps every cell
-    onto the cell of the same rank.
-    """
-    n, t = m.n, m.table
-    colour = _rank([(False,) if x == m.id else (True, element_profile(m, x))
-                    for x in range(n)])
-    while True:
-        refined = _rank([(colour[x], tuple(sorted(
-            (colour[y], colour[t[x][y]], colour[t[y][x]],
-             t[x][y] == x, t[x][y] == y, t[y][x] == x, t[y][x] == y)
-            for y in range(n)))) for x in range(n)])
-        if max(refined) == max(colour):
-            break
-        colour = refined
-    cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
-    for x in range(n):
-        cells[colour[x]].append(x)
-    return cells
-
-
-def canonical_table(m: FiniteMonoid) -> tuple[tuple[int, ...], ...]:
-    """Least relabelling of m's table by an order with the identity first and
-    then the cells of the refined colouring in colour order, over all orders
-    within each cell. Equal iff isomorphic, since an isomorphism keeps the
-    identity and maps each cell onto the cell of the same colour."""
-    def relabel(cell_orders) -> tuple[tuple[int, ...], ...]:
-        order = list(chain.from_iterable(cell_orders))
-        pos = {x: i for i, x in enumerate(order)}
-        return tuple(tuple(pos[m.table[x][y]] for y in order) for x in order)
-    return min(map(relabel, product(*map(permutations, _cells(m)))))
 
 
 def _search(a: FiniteMonoid, b: FiniteMonoid,

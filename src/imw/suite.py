@@ -16,7 +16,14 @@ from .constructions import (
     gluing,
     iso_f_product_crossed,
 )
-from .core import FiniteMonoid, backtrack, is_group, make_congruence, quotient
+from .core import (
+    FiniteMonoid,
+    backtrack,
+    first_occurrence_classes,
+    is_group,
+    make_congruence,
+    quotient,
+)
 from .corpus import (
     builtin_corpus,
     cyclic_group,
@@ -247,14 +254,7 @@ def sigma_by_exhaustion(m: InverseMonoid) -> tuple[tuple[int, ...], int]:
             for b in range(n):
                 if cong.class_of[a] != cong.class_of[b]:
                     related[a][b] = False
-    class_of = []
-    seen: dict[int, int] = {}
-    for a in range(n):
-        rep = next(b for b in range(n) if related[a][b])
-        if rep not in seen:
-            seen[rep] = len(seen)
-        class_of.append(seen[rep])
-    return tuple(class_of), found
+    return first_occurrence_classes([related[a].index(True) for a in range(n)]), found
 
 
 def criterion_6(ctx: SuiteContext) -> CriterionResult:

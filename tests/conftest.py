@@ -1,5 +1,6 @@
 from functools import cache
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 import pytest
 
@@ -28,6 +29,32 @@ def _symmetric_inverse_monoid(k):
                   for img in permutations(range(k), size))
     return tabulate(maps, lambda f, g: tuple(-1 if f[i] < 0 else g[f[i]] for i in range(k)),
                     tuple(range(k)), str)[0]
+
+
+def _least_relabelled_table(m):
+    """Oracle: the least of m's tables over every labelling that calls the
+    identity 0, so equal for two monoids iff they are isomorphic."""
+    def relabel(order):
+        pos = {x: i for i, x in enumerate(order)}
+        return tuple(tuple(pos[m.table[x][y]] for y in order) for x in order)
+    others = [x for x in range(m.n) if x != m.id]
+    return min(relabel((m.id, *perm)) for perm in permutations(others))
+
+
+def _least_strict_order_by_scan(meet):
+    """Oracle: corpus._least_strict_order by trying all (n - 1)! labellings.
+    The least strict order over the labellings of a lattice with top 0 that
+    keep the top, and the meet table in that labelling. The order gives the
+    pairs i < j of 1..n-1 in lexicographic order the states 0 (incomparable),
+    1 (i below j) and 2 (j below i)."""
+    state = [[(x == xy) + 2 * (y == xy) for y, xy in enumerate(row)]
+             for x, row in enumerate(meet)]
+
+    def key(order: Sequence[int]) -> tuple[int, ...]:
+        return tuple(state[x][y] for i, x in enumerate(order) for y in order[i + 1:])
+
+    order = [0, *min(permutations(range(1, len(meet))), key=key)]
+    return key(order[1:]), [[order.index(meet[x][y]) for y in order] for x in order]
 
 
 @cache

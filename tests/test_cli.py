@@ -193,7 +193,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path):
     assert "unrecognized arguments" in r.stderr and "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("kind, max_n, bound", [("semilattice", "7", 6),
+@pytest.mark.parametrize("kind, max_n, bound", [("semilattice", "9", 8),
                                                 ("inverse-monoid", "7", 6)])
 def test_enumerate_refuses_a_size_over_the_bound_before_searching(kind, max_n, bound,
                                                                  monkeypatch, capsys):

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _monoid_tables_by_scan, _semilattices_by_scan
+from conftest import (
+    _least_relabelled_table,
+    _least_strict_order_by_scan,
+    _monoid_tables_by_scan,
+    _semilattices_by_scan,
+)
 from imw.constructions import validate_almost_action, validate_gluing_map
 from imw.core import is_group, validate_monoid
 from imw.corpus import (
@@ -26,7 +31,7 @@ from imw.corpus import (
 )
 from imw.errors import BudgetExceeded
 from imw.inverse import validate_inverse, validate_semilattice
-from imw.iso import brute_force_iso, canonical_table
+from imw.iso import brute_force_iso
 from imw.report import analyze
 
 
@@ -123,6 +128,14 @@ def test_least_strict_order_ignores_relabelling(case):
     least = _least_strict_order(s.base.table)
     assert _least_strict_order(table) == least
     assert least[1] == [list(row) for row in s.base.table]
+
+
+def test_least_strict_order_matches_the_scan():
+    # Every grown table to n = 7, and every class to n = 7.
+    grown = [table for s in enumerate_semilattices(6) for table in _add_atom(s)]
+    assert [sum(len(t) == n for t in grown) for n in range(3, 8)] == [1, 2, 7, 27, 116]
+    for table in grown + [s.base.table for s in enumerate_semilattices(7)]:
+        assert _least_strict_order(table) == _least_strict_order_by_scan(table)
 
 
 def test_almost_action_counts():
@@ -272,7 +285,7 @@ def test_monoid_tables_match_the_scan(n):
     # that fix 0; the pruned search keeps the first, which is the least.
     seen, first = set(), []
     for table in _monoid_tables_by_scan(n):
-        key = canonical_table(validate_monoid(n, table, 0))
+        key = _least_relabelled_table(validate_monoid(n, table, 0))
         if key not in seen:
             seen.add(key)
             first.append(table)
@@ -325,9 +338,9 @@ def test_no_two_emitted_instances_isomorphic():
     for i, a in enumerate(monoids):
         for b in monoids[i + 1:]:
             assert brute_force_iso(a, b) is None
-    # To n = 6 by canonical table, a complete invariant: the enumerator keeps
-    # no set of the classes it has emitted.
-    keys = [canonical_table(m.base) for m in enumerate_inverse_monoids(6)]
+    # To n = 6 by the least relabelled table, a complete invariant: the
+    # enumerator keeps no set of the classes it has emitted.
+    keys = [_least_relabelled_table(m.base) for m in enumerate_inverse_monoids(6)]
     assert len(keys) == 134 and len(set(keys)) == len(keys)
     semis = [s.base for s in enumerate_semilattices(5)]
     for i, a in enumerate(semis):

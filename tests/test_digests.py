@@ -5,11 +5,12 @@ least-idempotent route and before the weakly Schreier verdict was given a
 single code path; the ``decompose`` and ``construct gluing`` digests were
 recorded before Gl(f) was built through F(Y,G); the ``enumerate`` digests
 were recorded before the canonical table refined colours, the one of the
-semilattices to n = 7 before they were grown by adding an atom, and the one of
-the inverse monoids to n = 6 before their search kept only the least table of
-each class. Any change to the bytes of ``check --json`` (via
+semilattices to n = 7 before they were grown by adding an atom, the one of the
+semilattices to n = 8 before their least strict order was found by
+refinement, and the one of the inverse monoids to n = 6 before their search
+kept only the least table of each class. Any change to the bytes of ``check --json`` (via
 ``emit_report``), or to the exit code and stdout of ``extension --json``,
-``decompose --json``, ``construct gluing --json`` or the four pinned
+``decompose --json``, ``construct gluing --json`` or the five pinned
 ``enumerate --json`` runs, shows up here.
 """
 
@@ -285,6 +286,20 @@ def test_enumerate_semilattices_to_seven_bytes_unchanged():
     code, out = _cli_run(["enumerate", "--kind", "semilattice", "--max-n", "7",
                           "--force-bound", "--json"])
     assert (_sha(f"{code}\n{out}"), _sha(out)) == SEMILATTICES_TO_SEVEN_EXPECTED
+
+
+# (exit code plus stdout, stdout alone) of the semilattices to n = 8, recorded
+# while the grown tables were deduped by canonical table and each class was
+# put in its least strict order by trying every labelling.
+SEMILATTICES_TO_EIGHT_EXPECTED = (
+    "1978d82c4b3b6b96d4ee0db886bb1bdad564434279cdee73b0de360ac1bbecc4",
+    "f73a87aa388e004d1952e61d2b476ba0e442372a2a23b21f426fced8932d7ea6")
+
+
+def test_enumerate_semilattices_to_eight_bytes_unchanged():
+    code, out = _cli_run(["enumerate", "--kind", "semilattice", "--max-n", "8",
+                          "--force-bound", "--json"])
+    assert (_sha(f"{code}\n{out}"), _sha(out)) == SEMILATTICES_TO_EIGHT_EXPECTED
 
 
 # (exit code plus stdout, stdout alone) of the inverse monoids to n = 6,

@@ -2,20 +2,19 @@ import contextlib
 import inspect
 import io
 import sys
-from itertools import chain as concat
-from itertools import groupby, permutations, product
+from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _monoid_tables_by_scan, _semilattices_by_scan
+from conftest import _least_relabelled_table, _monoid_tables_by_scan, _semilattices_by_scan
 from imw.cli import cli_main
 from imw.core import direct_product, validate_monoid
 from imw.corpus import (
+    _least_strict_order,
     chain,
     cyclic_group,
-    diamond,
     enumerate_inverse_monoids,
     enumerate_semilattices,
     klein_four,
@@ -26,7 +25,7 @@ from imw.corpus import (
 )
 from imw.errors import NoInverse, NonUniqueInverse, NotHomomorphism, SizeLimitExceeded
 from imw.inverse import validate_inverse
-from imw.iso import _cells, brute_force_iso, canonical_table, element_profile, verify_iso
+from imw.iso import brute_force_iso, element_profile, verify_iso
 from imw.mtab import serialize_mtab
 
 
@@ -134,15 +133,6 @@ ENUMERATED = [s.base for s in enumerate_semilattices(5)] \
     + [m.base for m in enumerate_inverse_monoids(4)]
 
 
-def test_canonical_table_decides_isomorphism():
-    # brute_force_iso is the oracle. Every semilattice element has the same
-    # profile, so the profiles alone cannot tell the enumerated classes apart.
-    for a in SMALL + ENUMERATED:
-        for b in SMALL + ENUMERATED:
-            same = canonical_table(a) == canonical_table(b)
-            assert same == (brute_force_iso(a, b) is not None), (a.table, b.table)
-
-
 def _relabel(m, perm):
     """The copy of m in which element x is called perm[x]."""
     table = [[0] * m.n for _ in range(m.n)]
@@ -150,29 +140,6 @@ def _relabel(m, perm):
         for y in range(m.n):
             table[perm[x]][perm[y]] = perm[m.mul(x, y)]
     return validate_monoid(m.n, table, perm[m.id])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(SMALL + ENUMERATED)
-       .flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m.n)))))
-@example((sym3(), [3, 0, 1, 2, 5, 4]))  # the identity 0 moves to 3
-def test_canonical_table_ignores_relabelling(case):
-    m, perm = case
-    assert canonical_table(_relabel(m, perm)) == canonical_table(m)
-    assert canonical_table(m)[0] == tuple(range(m.n))  # the identity comes first
-
-
-def profile_canonical_table(m):
-    """Oracle: the least relabelling over every order with the identity first
-    and the other elements sorted by profile alone, with no refinement."""
-    others = sorted((element_profile(m, x), x) for x in range(m.n) if x != m.id)
-    blocks = [[x for _, x in block] for _, block in groupby(others, key=lambda px: px[0])]
-    tables = []
-    for block_orders in product(*map(permutations, blocks)):
-        order = [m.id, *concat.from_iterable(block_orders)]
-        pos = {x: i for i, x in enumerate(order)}
-        tables.append(tuple(tuple(pos[m.table[x][y]] for y in order) for x in order))
-    return min(tables)
 
 
 def _is_inverse(m):
@@ -189,7 +156,10 @@ def _partition(key, monoids):
     return [first.setdefault(key(m), i) for i, m in enumerate(monoids)]
 
 
-def test_refined_key_partitions_the_candidates_like_the_profile_key():
+def test_least_relabelled_table_decides_isomorphism_on_the_candidates():
+    # brute_force_iso is the oracle: each candidate is isomorphic to the first
+    # of its class, and the firsts are pairwise not. Every semilattice element
+    # has the same profile, so the profiles alone cannot tell them apart.
     semilattices = [validate_monoid(n, table, 0) for n in range(1, 7)
                     for table in _semilattices_by_scan(n)]
     tables = [validate_monoid(n, table, 0) for n in range(1, 6)
@@ -197,28 +167,16 @@ def test_refined_key_partitions_the_candidates_like_the_profile_key():
     monoids = [m for m in tables if _is_inverse(m)] + small_groups()
     assert (len(semilattices), len(monoids)) == (1154, 497 + 8)
     for candidates in (semilattices, monoids):
-        assert _partition(canonical_table, candidates) \
-            == _partition(profile_canonical_table, candidates)
-
-
-def test_refinement_splits_every_chain_into_singletons():
-    # So canonical_table tries one order; the profile key alone tried
-    # (k - 1)!, 5,040 on the 8-chain.
-    for k in range(1, 9):
-        assert [len(cell) for cell in _cells(chain(k).base)] == [1] * k
-
-
-@pytest.mark.parametrize("m,sizes", [(diamond().base, [1, 2, 1]), (klein_four(), [1, 3])],
-                         ids=["diamond", "klein"])
-def test_cell_sizes_ignore_relabelling(m, sizes):
-    # The atoms of the diamond, and a, b, c of the Klein group, are swapped by
-    # automorphisms, so no refinement can split them.
-    assert [len(cell) for cell in _cells(m)] == sizes
-    for perm in permutations(range(m.n)):
-        relabelled = _relabel(m, perm)
-        cells = _cells(relabelled)
-        assert [len(cell) for cell in cells] == sizes
-        assert cells[0] == [relabelled.id]
+        classes = _partition(_least_relabelled_table, candidates)
+        for m, first in zip(candidates, classes):
+            assert brute_force_iso(candidates[first], m) is not None
+        firsts = [candidates[i] for i in sorted(set(classes))]
+        for i, a in enumerate(firsts):
+            for b in firsts[i + 1:]:
+                assert brute_force_iso(a, b) is None, (a.table, b.table)
+    # The least strict order is the same complete invariant on semilattices.
+    assert _partition(lambda m: (m.n, _least_strict_order(m.table)[0]), semilattices) \
+        == _partition(_least_relabelled_table, semilattices)
 
 
 def _iso_by_recursion(a, b):
