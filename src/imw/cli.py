@@ -27,8 +27,7 @@ from .constructions import (
 )
 from .corpus import DEFAULT_BUDGET, builtin_corpus, enumerate_almost_actions, \
     enumerate_gluing_maps, enumerate_inverse_monoids, enumerate_semilattices, small_groups
-from .errors import BoundExceeded, ImwError, KernelMismatch, PreconditionFailed, \
-    ValidationError
+from .errors import ImwError, KernelMismatch, PreconditionFailed, ValidationError
 from .inverse import validate_inverse, validate_semilattice
 from .iso import DEFAULT_ISO_LIMIT, brute_force_iso
 from .mtab import (
@@ -256,7 +255,7 @@ def cmd_enumerate(args) -> int:
     bound = {"semilattice": SEMILATTICE_BOUND,
              "inverse-monoid": INVERSE_MONOID_BOUND}.get(args.kind)
     if bound is not None and max_n > bound and not args.force_bound:
-        raise BoundExceeded(max_n, bound)
+        raise ValidationError(f"requested size {max_n} exceeds enumeration bound {bound}")
     if args.kind == "semilattice":
         items = [s.base for s in enumerate_semilattices(max_n)]
     elif args.kind == "inverse-monoid":

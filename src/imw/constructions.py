@@ -19,9 +19,8 @@ from .errors import (
     IdentityNotTop,
     IllDefinedMultiplication,
     InternalCharacterizationFailure,
-    NoActionWitness,
-    NoChiWitness,
     PreconditionFailed,
+    ValidationError,
 )
 from .extension import Extension, WSSplitting
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse
@@ -255,11 +254,7 @@ def crossed_product(fs: FactorSystem) -> CrossedProduct:
     for h in range(hn):
         for n in range(nn):
             members.setdefault((h, fs.sim[h][n]), []).append(n)
-    elements = []
-    for h in range(hn):
-        cls = [c for (hh, c) in members if hh == h]
-        cls.sort(key=lambda c: members[(h, c)][0])
-        elements.extend((h, c) for c in cls)
+    elements = list(members)
 
     def product_class(h: int, n: int, h2: int, n2: int) -> tuple[int, int]:
         h12 = hmul(h, h2)
@@ -438,7 +433,7 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting) \
         for n in range(n_mon.n):
             cand = least[h].get(g_mon.mul(s[h], k[n]))
             if cand is None:
-                raise NoActionWitness(h, n)
+                raise ValidationError(f"no element solves k(n')*s({h}) = s({h})*k({n})")
             row.append(cand)
         act.append(row)
     chi = []
@@ -447,7 +442,8 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting) \
         for h2 in range(h_mon.n):
             cand = least[h_mon.mul(h1, h2)].get(g_mon.mul(s[h1], s[h2]))
             if cand is None:
-                raise NoChiWitness(h1, h2)
+                raise ValidationError(
+                    f"no element solves k(n)*s({h1}*{h2}) = s({h1})*s({h2})")
             row.append(cand)
         chi.append(row)
     fs = validate_factor_system(h_mon, n_mon, sim, act, chi)

@@ -1,8 +1,12 @@
 """Exception hierarchy.
 
-Every failure carries the witness that falsifies the claimed property, so
-callers (and the CLI report) can print a concrete counterexample instead of
-a bare boolean.
+Every failure names the witness that falsifies the claimed property in its
+message, so callers (and the CLI report) can print a concrete counterexample
+instead of a bare boolean. A failure gets its own class only where ``src/``
+catches it by type or a test names it. Every other failure raises
+``ValidationError`` when the input is at fault, or
+``InternalCharacterizationFailure`` when a guaranteed cross-check fails,
+with its message built at the raise site.
 """
 
 from __future__ import annotations
@@ -50,12 +54,6 @@ class NotHomomorphism(ValidationError):
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
-class NotInverse(ValidationError):
-    def __init__(self, x: int, direction: str):
-        self.witness = x
-        super().__init__(f"candidate maps are not mutually inverse ({direction} fails at {x})")
-
-
 # --- inverse-monoid level --------------------------------------------------
 
 class NoInverse(ValidationError):
@@ -70,37 +68,13 @@ class NonUniqueInverse(ValidationError):
         super().__init__(f"element {x} has several generalized inverses: {sorted(candidates)}")
 
 
-class NotASemilattice(ValidationError):
-    def __init__(self, reason: str, witness):
-        self.witness = witness
-        super().__init__(f"not a semilattice monoid ({reason}): witness {witness}")
-
-
 class InternalCheckFailed(ImwError):
     """A mathematically guaranteed cross-check failed; indicates a bug, not bad input."""
-
-
-class IdempotentsDoNotCommute(InternalCheckFailed):
-    def __init__(self, e: int, f: int):
-        self.witness = (e, f)
-        super().__init__(f"idempotents {e},{f} do not commute although inverses are unique")
-
-
-class OrderAxiomViolation(InternalCheckFailed):
-    def __init__(self, axiom: str, witness):
-        self.witness = witness
-        super().__init__(f"natural order failed {axiom}: {witness}")
 
 
 class InternalCharacterizationFailure(InternalCheckFailed):
     def __init__(self, detail: str):
         super().__init__(detail)
-
-
-class EquivalenceMismatch(InternalCheckFailed):
-    def __init__(self, x: int):
-        self.witness = x
-        super().__init__(f"central-idempotents and x*inv(x)=inv(x)*x disagree at {x}")
 
 
 class TheoremViolation(InternalCheckFailed):
@@ -152,18 +126,6 @@ class IllDefinedMultiplication(InternalCheckFailed):
         super().__init__(f"product depends on representatives: {witness}")
 
 
-class NoActionWitness(ValidationError):
-    def __init__(self, h: int, n: int):
-        self.witness = (h, n)
-        super().__init__(f"no element solves k(n')*s({h}) = s({h})*k({n})")
-
-
-class NoChiWitness(ValidationError):
-    def __init__(self, h1: int, h2: int):
-        self.witness = (h1, h2)
-        super().__init__(f"no element solves k(n)*s({h1}*{h2}) = s({h1})*s({h2})")
-
-
 class PreconditionFailed(ImwError):
     def __init__(self, requirement: str, witness=None):
         self.requirement = requirement
@@ -177,11 +139,6 @@ class PreconditionFailed(ImwError):
 class SizeLimitExceeded(ImwError):
     def __init__(self, n: int, limit: int):
         super().__init__(f"isomorphism search on {n} elements exceeds limit {limit}")
-
-
-class BoundExceeded(ImwError):
-    def __init__(self, requested: int, bound: int):
-        super().__init__(f"requested size {requested} exceeds enumeration bound {bound}")
 
 
 class BudgetExceeded(ImwError):

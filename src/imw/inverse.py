@@ -22,14 +22,11 @@ from .core import (
     tabulate,
 )
 from .errors import (
-    EquivalenceMismatch,
-    IdempotentsDoNotCommute,
     InternalCharacterizationFailure,
     NoInverse,
     NonUniqueInverse,
     NotACongruence,
-    NotASemilattice,
-    OrderAxiomViolation,
+    ValidationError,
 )
 
 if TYPE_CHECKING:
@@ -64,7 +61,7 @@ class InverseMonoid:
         return min_group_congruence(self)
 
     @cached_property
-    def e_unitary(self) -> EUnitaryResult:
+    def e_unitary(self) -> Verdict:
         return is_e_unitary(self)
 
     @cached_property
@@ -72,7 +69,7 @@ class InverseMonoid:
         return is_f_inverse(self)
 
     @cached_property
-    def clifford(self) -> CliffordResult:
+    def clifford(self) -> Verdict:
         return is_clifford(self)
 
     @cached_property
@@ -115,9 +112,9 @@ class SemilatticeMonoid:
 
 
 @dataclass(frozen=True)
-class EUnitaryResult:
+class Verdict:
     holds: bool
-    witness: tuple[int, int] | None = None  # (x, e) with x*e idempotent, x not
+    witness: tuple[int, int] | None = None  # the pair that refutes the property
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,6 @@ class FInverseResult:
     selector: tuple[int, ...] | None = None  # class index -> greatest element
     witness_class: int | None = None
     witness_maximals: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class CliffordResult:
-    holds: bool
-    witness: tuple[int, int] | None = None  # (e, x) failing to commute
 
 
 def validate_inverse(m: FiniteMonoid) -> InverseMonoid:
@@ -153,17 +144,19 @@ def validate_inverse(m: FiniteMonoid) -> InverseMonoid:
     for e in idem:
         for f in idem:
             if t[e][f] != t[f][e]:
-                raise IdempotentsDoNotCommute(e, f)
+                raise InternalCharacterizationFailure(
+                    f"idempotents {e},{f} do not commute although inverses are unique")
     return InverseMonoid(base=m, inv=tuple(inv))
 
 
 def validate_semilattice(m: FiniteMonoid) -> SemilatticeMonoid:
     for x in range(m.n):
         if m.mul(x, x) != x:
-            raise NotASemilattice("not idempotent", x)
+            raise ValidationError(f"not a semilattice monoid (not idempotent): witness {x}")
         for y in range(m.n):
             if m.mul(x, y) != m.mul(y, x):
-                raise NotASemilattice("not commutative", (x, y))
+                raise ValidationError(
+                    f"not a semilattice monoid (not commutative): witness {(x, y)}")
     return SemilatticeMonoid(base=m)
 
 
@@ -206,8 +199,12 @@ def min_group_congruence(m: InverseMonoid) -> Congruence:
     return sigma
 
 
-def is_e_unitary(m: InverseMonoid) -> EUnitaryResult:
-    """x*e idempotent with e idempotent must force x idempotent."""
+def is_e_unitary(m: InverseMonoid) -> Verdict:
+    """x*e idempotent with e idempotent must force x idempotent.
+
+    The witness of a failure is the first (x, e) with x not idempotent, e
+    idempotent and x*e idempotent.
+    """
     idem = m.base.idempotents()
     iset = set(idem)
     for x in range(m.n):
@@ -215,8 +212,8 @@ def is_e_unitary(m: InverseMonoid) -> EUnitaryResult:
             continue
         for e in idem:
             if m.mul(x, e) in iset:
-                return EUnitaryResult(holds=False, witness=(x, e))
-    return EUnitaryResult(holds=True)
+                return Verdict(holds=False, witness=(x, e))
+    return Verdict(holds=True)
 
 
 def is_f_inverse(m: InverseMonoid) -> FInverseResult:
@@ -236,13 +233,18 @@ def is_f_inverse(m: InverseMonoid) -> FInverseResult:
                                   witness_maximals=tuple(maximals))
         top = maximals[0]
         if not all(leq(y, top) for y in members):
-            raise OrderAxiomViolation("unique maximal is not greatest", (c, top))
+            raise InternalCharacterizationFailure(
+                f"natural order failed unique maximal is not greatest: {(c, top)}")
         selector.append(top)
     return FInverseResult(holds=True, sigma=sigma, selector=tuple(selector))
 
 
-def is_clifford(m: InverseMonoid) -> CliffordResult:
-    """Idempotents must be central; cross-checked against x*inv(x) = inv(x)*x."""
+def is_clifford(m: InverseMonoid) -> Verdict:
+    """Idempotents must be central; cross-checked against x*inv(x) = inv(x)*x.
+
+    The witness of a failure is the first (e, x) with e idempotent and
+    e*x != x*e.
+    """
     witness = None
     for e in m.base.idempotents():
         for x in range(m.n):
@@ -253,7 +255,8 @@ def is_clifford(m: InverseMonoid) -> CliffordResult:
             break
     alt = all(m.mul(x, m.inv[x]) == m.mul(m.inv[x], x) for x in range(m.n))
     if alt != (witness is None):
-        bad = next(x for x in range(m.n)
-                   if m.mul(x, m.inv[x]) != m.mul(m.inv[x], x))
-        raise EquivalenceMismatch(bad)
-    return CliffordResult(holds=witness is None, witness=witness)
+        bad = witness[1] if alt else next(
+            x for x in range(m.n) if m.mul(x, m.inv[x]) != m.mul(m.inv[x], x))
+        raise InternalCharacterizationFailure(
+            f"central-idempotents and x*inv(x)=inv(x)*x disagree at {bad}")
+    return Verdict(holds=witness is None, witness=witness)

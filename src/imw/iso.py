@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import FiniteMonoid, MonoidMap, backtrack, make_monoid_map
-from .errors import NotInverse, SizeLimitExceeded
+from .errors import SizeLimitExceeded, ValidationError
 
 DEFAULT_ISO_LIMIT = 12
 
@@ -31,10 +31,12 @@ def verify_iso(a: FiniteMonoid, b: FiniteMonoid,
     bwd = make_monoid_map(b, a, backward)
     for x in range(a.n):
         if bwd.values[fwd.values[x]] != x:
-            raise NotInverse(x, "backward∘forward")
+            raise ValidationError(
+                f"candidate maps are not mutually inverse (backward∘forward fails at {x})")
     for y in range(b.n):
         if fwd.values[bwd.values[y]] != y:
-            raise NotInverse(y, "forward∘backward")
+            raise ValidationError(
+                f"candidate maps are not mutually inverse (forward∘backward fails at {y})")
     return IsoWitness(a=a, b=b, forward=fwd, backward=bwd)
 
 

@@ -9,8 +9,15 @@ import pytest
 import imw.extension
 import imw.inverse
 from conftest import _symmetric_inverse_monoid
-from imw.constructions import clifford_reconstruction
-from imw.core import direct_product, is_group, make_congruence, quotient, validate_monoid
+from imw.constructions import clifford_reconstruction, factor_system_from_extension
+from imw.core import (
+    direct_product,
+    is_group,
+    make_congruence,
+    make_monoid_map,
+    quotient,
+    validate_monoid,
+)
 from imw.corpus import (
     brandt_b2_1,
     chain,
@@ -21,14 +28,18 @@ from imw.corpus import (
     m3,
     m7,
     sym3,
+    trivial_monoid,
 )
 from imw.errors import (
     InternalCharacterizationFailure,
     NoInverse,
     NonUniqueInverse,
     NotACongruence,
+    ValidationError,
 )
+from imw.extension import WSSplitting, build_canonical_extension, make_extension
 from imw.inverse import (
+    InverseMonoid,
     idempotent_semilattice,
     is_clifford,
     is_e_unitary,
@@ -36,7 +47,9 @@ from imw.inverse import (
     min_group_congruence,
     natural_order,
     validate_inverse,
+    validate_semilattice,
 )
+from imw.iso import verify_iso
 from imw.report import analyze
 from imw.suite import (
     all_congruences,
@@ -489,6 +502,64 @@ def test_clifford():
     e, x = res.witness
     m = validate_inverse(m7())
     assert m.base.is_idempotent(e) and m.mul(e, x) != m.mul(x, e)
+
+
+def test_clifford_cross_check_names_the_element_when_only_the_idempotents_disagree():
+    # Built by hand, so validate_inverse never sees it: with inv the identity,
+    # x*inv(x) = inv(x)*x for every x, but the idempotent ab does not commute
+    # with a (ab*a = a, a*ab = 0).
+    m = InverseMonoid(base=brandt_b2_1(), inv=tuple(range(6)))
+    with pytest.raises(InternalCharacterizationFailure) as exc:
+        is_clifford(m)
+    assert str(exc.value) == "central-idempotents and x*inv(x)=inv(x)*x disagree at 1"
+
+
+def _no_action_witness():
+    # The right-zero band {1, a, b} (x*y = y) over the trivial group, with s
+    # picking a: s*k(b) = b, but every k(n)*s = a.
+    rz = validate_monoid(3, [[0, 1, 2], [1, 1, 2], [2, 1, 2]], 0)
+    one = trivial_monoid()
+    ext = make_extension(rz, rz, one, make_monoid_map(rz, rz, [0, 1, 2]),
+                         make_monoid_map(rz, one, [0, 0, 0]))
+    s = make_monoid_map(one, rz, [1], kind="function")
+    factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
+
+
+def _no_chi_witness():
+    # Z2 over itself with the section swapped: s(0)*s(0) = 1*1 = 0, but k(n)*s(0) = 1.
+    ext = build_canonical_extension(validate_inverse(cyclic_group(2)))
+    s = make_monoid_map(ext.h_part, ext.g_part, [1, 0], kind="function")
+    factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
+
+
+@pytest.mark.parametrize("fail, cls, message", [
+    (lambda: verify_iso(trivial_monoid(), cyclic_group(2), [0], [0, 0]), ValidationError,
+     "candidate maps are not mutually inverse (forward∘backward fails at 1)"),
+    (lambda: verify_iso(cyclic_group(2), cyclic_group(2), [0, 1], [0, 0]), ValidationError,
+     "candidate maps are not mutually inverse (backward∘forward fails at 1)"),
+    (lambda: validate_semilattice(cyclic_group(2)), ValidationError,
+     "not a semilattice monoid (not idempotent): witness 1"),
+    # The left-zero band with an identity.
+    (lambda: validate_semilattice(validate_monoid(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)),
+     ValidationError, "not a semilattice monoid (not commutative): witness (1, 2)"),
+    # S3 with inv(021) swapped for 102, a transposition that does not commute with it.
+    (lambda: is_clifford(InverseMonoid(base=sym3(), inv=(0, 2, 2, 4, 3, 5))),
+     InternalCharacterizationFailure,
+     "central-idempotents and x*inv(x)=inv(x)*x disagree at 1"),
+    # The chain 1 > 0 with its inverses swapped: the order x = x*inv(x)*y then
+    # fails 1 <= 1, so 1, the only maximal of its class, is not its greatest.
+    (lambda: is_f_inverse(InverseMonoid(base=validate_monoid(2, [[0, 1], [1, 1]], 0),
+                                        inv=(1, 0))),
+     InternalCharacterizationFailure,
+     "natural order failed unique maximal is not greatest: (0, 0)"),
+    (_no_action_witness, ValidationError, "no element solves k(n')*s(0) = s(0)*k(2)"),
+    (_no_chi_witness, ValidationError, "no element solves k(n)*s(0*0) = s(0)*s(0)"),
+], ids=["forward-backward", "backward-forward", "not-idempotent", "not-commutative",
+        "clifford-mismatch", "order-axiom", "no-action", "no-chi"])
+def test_each_failure_without_its_own_class_keeps_its_message(fail, cls, message):
+    with pytest.raises(cls) as exc:
+        fail()
+    assert str(exc.value) == message
 
 
 def test_order_restricted_to_idempotents_is_semilattice_order(corpus_monoids):
