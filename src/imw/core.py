@@ -7,7 +7,7 @@ are cosmetic. All structures are immutable once validated and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -225,22 +225,32 @@ def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
     """Canonicalize a class vector and verify compatibility with the table."""
     if len(class_of) != m.n:
         raise IndexOutOfRange("class vector length", len(class_of), m.n + 1)
-    canon = first_occurrence_classes(class_of)
-    k = max(canon) + 1
+    # canon numbers the classes 0, 1, ... in order of first occurrence, and
+    # least[c] is the least member of class c.
+    renum: dict[int, int] = {}
+    canon: list[int] = []
+    least: list[int] = []
+    for x, key in enumerate(class_of):
+        c = renum.setdefault(key, len(renum))
+        if c == len(least):
+            least.append(x)
+        canon.append(c)
+    rep = list(map(least.__getitem__, canon))
     # Compatibility is equivalent to the product class being a function of
-    # the factor classes.
-    seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for x in range(m.n):
-        cx, tx = canon[x], m.table[x]
-        for y in range(m.n):
-            key = (cx, canon[y])
-            c = canon[tx[y]]
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = (c, x, y)
-            elif prev[0] != c:
-                raise NotACongruence(((prev[1], prev[2]), (x, y)))
-    return Congruence(monoid=m, class_of=canon, num_classes=k)
+    # the factor classes: the class of x·y is that of rep(x)·rep(y). So each
+    # row of classes must be its class's least member's row read at rep(y).
+    # The first failing (x, y) in row-major order is the witness, with
+    # (rep(x), rep(y)), the first pair in that order with those classes.
+    want: list[list[int]] = []
+    for x, cx in enumerate(canon):
+        row = list(map(canon.__getitem__, m.table[x]))
+        if x == least[cx]:
+            want.append(list(map(row.__getitem__, rep)))
+        expected = want[cx]
+        if row != expected:
+            y = list(map(ne, row, expected)).index(True)
+            raise NotACongruence(((rep[x], rep[y]), (x, y)))
+    return Congruence(monoid=m, class_of=tuple(canon), num_classes=len(least))
 
 
 def identity_congruence(m: FiniteMonoid) -> Congruence:

@@ -354,6 +354,15 @@ def test_congruence_witness_is_the_first_conflicting_pair():
         "relation is not compatible with multiplication: ((0, 4), (1, 5))"
 
 
+def test_congruence_witness_names_the_least_members_of_a_later_row():
+    # Classes {1, (a,1)} and the rest. Rows 2 and 3 agree with row 2, the
+    # least of their class; row 4 is the first that does not: (a,g)·(b,g) =
+    # (a,1), while (b,1)·(b,1) = (b,1).
+    with pytest.raises(NotACongruence) as exc:
+        make_congruence(m7(), (0, 0, 1, 1, 1, 1, 1))
+    assert exc.value.witness == ((2, 2), (4, 5))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=5),
        st.functions(like=lambda prefix: None, returns=st.booleans(), pure=True))

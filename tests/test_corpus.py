@@ -29,7 +29,7 @@ from imw.corpus import (
     small_groups,
     sym3,
 )
-from imw.errors import BudgetExceeded
+from imw.errors import BudgetExceeded, NoInverse, NonUniqueInverse
 from imw.inverse import validate_inverse, validate_semilattice
 from imw.iso import brute_force_iso
 from imw.report import analyze
@@ -279,17 +279,35 @@ def test_gluing_map_counts():
     assert (0, 1, 1, 1, 1, 1) in {gm.f for gm in s3_maps}
 
 
+def _is_inverse(table):
+    try:
+        validate_inverse(validate_monoid(len(table), table, 0))
+    except (NoInverse, NonUniqueInverse):
+        return False
+    return True
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_monoid_tables_match_the_scan(n):
     # The unpruned scan yields every table of a class under the relabellings
-    # that fix 0; the pruned search keeps the first, which is the least.
+    # that fix 0; the pruned search keeps the first, which is the least, of
+    # each class that is an inverse monoid.
     seen, first = set(), []
     for table in _monoid_tables_by_scan(n):
         key = _least_relabelled_table(validate_monoid(n, table, 0))
         if key not in seen:
             seen.add(key)
             first.append(table)
-    assert list(_monoid_tables(n)) == first
+    assert list(_monoid_tables(n)) == [table for table in first if _is_inverse(table)]
+
+
+def test_monoid_tables_complete_one_table_per_inverse_class():
+    counts = []
+    for n in range(1, 7):
+        tables = list(_monoid_tables(n))
+        assert all(_is_inverse(table) for table in tables)
+        counts.append(len(tables))
+    assert counts == [1, 2, 4, 11, 27, 89]
 
 
 def test_inverse_monoid_counts():
