@@ -69,7 +69,7 @@ def _named_structures():
     names = {}
     for inst in builtin_corpus():
         if inst.kind in ("group", "monoid", "semilattice"):
-            names[inst.name] = inst.payload
+            names[inst.name] = inst.payload.base if inst.kind == "semilattice" else inst.payload
     for g, label in zip(small_groups(), ["z1", "z2", "z3", "z4", "z5", "z6",
                                          "klein", "s3"]):
         names.setdefault(label, g)
@@ -237,10 +237,7 @@ def cmd_enumerate(args) -> int:
         if g is None or y is None:
             raise ValidationError("unknown --group or --semilattice name; "
                                   f"known: {', '.join(sorted(names))}")
-        if hasattr(g, "base"):
-            g = g.base
-        if not hasattr(y, "meet"):
-            y = validate_semilattice(y)
+        y = validate_semilattice(y)
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
         if args.kind == "almost-action":
             docs = [almost_action_to_json(aa)

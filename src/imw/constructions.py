@@ -340,29 +340,28 @@ def gluing(gm: GluingMap) -> PairMonoid:
     return gl
 
 
-def _section_data(m: InverseMonoid):
-    """The index of each idempotent in E(M) and the selector s of an F-inverse M."""
+def _require_f_inverse(m: InverseMonoid) -> None:
     fres = m.f_inverse
     if not fres.holds:
         raise PreconditionFailed("monoid must be F-inverse",
                                  (fres.witness_class, fres.witness_maximals))
-    return m.idempotent_index, fres.selector
 
 
-def _certify_pairs(m: InverseMonoid, pm: PairMonoid, pos, sel) -> IsoWitness:
+def _certify_pairs(m: InverseMonoid, pm: PairMonoid) -> IsoWitness:
     """Certify M ≅ pm by x ↦ (x·x⁻¹, σ(x)) and (y, g) ↦ y·s(g)."""
+    pos, sel = m.idempotent_index, m.f_inverse.selector
     forward = [pm.index[(pos[m.mul(x, m.inv[x])], m.sigma.class_of[x])]
                for x in range(m.n)]
     backward = [m.mul(m.semilattice[1].values[y], sel[g]) for (y, g) in pm.pairs]
     return verify_iso(m.base, pm.monoid.base, forward, backward)
 
 
-def _recover_gluing_map(m: InverseMonoid):
-    """gluing_map_from_clifford, also returning the section data it read."""
+def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
+    """Recover f(g) = s(g)*inv(s(g)) from an F-inverse Clifford monoid."""
     if not m.clifford.holds:
         raise PreconditionFailed("monoid must be Clifford", m.clifford.witness)
-    pos, sel = _section_data(m)
-    h = m.group_image[0]
+    _require_f_inverse(m)
+    pos, sel, h = m.idempotent_index, m.f_inverse.selector, m.group_image[0]
     # The greatest elements must be closed under inversion: c⁻¹ = q(inv(s(c))).
     for c in range(h.n):
         cinv = m.sigma.class_of[m.inv[sel[c]]]
@@ -370,18 +369,13 @@ def _recover_gluing_map(m: InverseMonoid):
             raise InternalCharacterizationFailure(
                 f"inv(s({c})) is not the greatest element of class {cinv}")
     f = [pos[m.mul(sel[c], m.inv[sel[c]])] for c in range(h.n)]
-    return validate_gluing_map(h, m.semilattice[0], f), pos, sel
-
-
-def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
-    """Recover f(g) = s(g)*inv(s(g)) from an F-inverse Clifford monoid."""
-    return _recover_gluing_map(m)[0]
+    return validate_gluing_map(h, m.semilattice[0], f)
 
 
 def clifford_reconstruction(m: InverseMonoid) -> tuple[GluingMap, IsoWitness]:
     """Recover the gluing map of M and certify M against the Gl(f) it builds."""
-    gm, pos, sel = _recover_gluing_map(m)
-    return gm, _certify_pairs(m, gluing(gm), pos, sel)
+    gm = gluing_map_from_clifford(m)
+    return gm, _certify_pairs(m, gluing(gm))
 
 
 # --- extraction back to construction data --------------------------------------
@@ -393,7 +387,8 @@ def almost_action_from_f_inverse(m: InverseMonoid) -> tuple[AlmostAction, IsoWit
     The axioms are re-checked, and M is certified against F(Y,G) by
     x ↦ (x·x⁻¹, σ(x)) and (y, g) ↦ y·s(g); a failure is raised, never ignored.
     """
-    pos, sel = _section_data(m)
+    _require_f_inverse(m)
+    pos, sel = m.idempotent_index, m.f_inverse.selector
     (semi, k), (h, _) = m.semilattice, m.group_image
     dot = []
     for g in range(h.n):
@@ -407,7 +402,7 @@ def almost_action_from_f_inverse(m: InverseMonoid) -> tuple[AlmostAction, IsoWit
             row.append(pos[conj])
         dot.append(row)
     aa = validate_almost_action(h, semi, dot)
-    return aa, _certify_pairs(m, aa.f_product, pos, sel)
+    return aa, _certify_pairs(m, aa.f_product)
 
 
 def factor_system_from_extension(ext: Extension, ws: WSSplitting) \

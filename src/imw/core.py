@@ -41,12 +41,11 @@ class FiniteMonoid:
 
 @dataclass(frozen=True)
 class MonoidMap:
-    """A total map between monoids; ``kind`` records whether it is multiplicative."""
+    """A total map between monoids."""
 
     source: FiniteMonoid
     target: FiniteMonoid
     values: tuple[int, ...]
-    kind: str = "homomorphism"  # or "function"
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
@@ -212,7 +211,7 @@ def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,
                     raise NotHomomorphism(x, y)
     elif kind != "function":
         raise ValueError(f"unknown map kind {kind!r}")
-    return MonoidMap(source=source, target=target, values=vals, kind=kind)
+    return MonoidMap(source=source, target=target, values=vals)
 
 
 def first_occurrence_classes(keys: Sequence[int]) -> tuple[int, ...]:

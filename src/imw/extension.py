@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .inverse import FInverseResult, InverseMonoid
+from .inverse import InverseMonoid
 
 
 @dataclass(frozen=True)
@@ -47,32 +47,32 @@ class Cosplitting:
 
 @dataclass(frozen=True)
 class WSFInverseReport:
-    f_inverse: FInverseResult
     extension: Extension
     splitting: WSSplitting | None
     fiber_witness: tuple[int, tuple[int, ...]] | None
     holds: bool  # the shared verdict of the two independent routes
 
 
-def make_extension(n_part: FiniteMonoid, g_part: FiniteMonoid, h_part: FiniteMonoid,
-                   k: MonoidMap, q: MonoidMap) -> Extension:
+def make_extension(k: MonoidMap, q: MonoidMap) -> Extension:
+    """N -> G -> H with N = k.source, G = k.target = q.source and H = q.target."""
+    if q.source != k.target:
+        raise PreconditionFailed("quotient map must start where the kernel map ends")
     if not k.is_injective():
         raise PreconditionFailed("kernel map must be injective")
     if not q.is_surjective():
         raise PreconditionFailed("quotient map must be surjective")
     image = set(k.values)
-    kernel = {x for x in range(g_part.n) if q.values[x] == h_part.id}
+    kernel = {x for x, h in enumerate(q.values) if h == q.target.id}
     for x in sorted(kernel - image):
         raise KernelMismatch(x, "in the kernel but not in the image of k")
     for x in sorted(image - kernel):
         raise KernelMismatch(x, "in the image of k but not in the kernel")
-    return Extension(n_part=n_part, g_part=g_part, h_part=h_part, k=k, q=q)
+    return Extension(n_part=k.source, g_part=k.target, h_part=q.target, k=k, q=q)
 
 
 def build_canonical_extension(m: InverseMonoid) -> Extension:
     """E(M) -> M -> M/sigma; raises KernelMismatch exactly when M is not E-unitary."""
-    (semi, k), (h, q) = m.semilattice, m.group_image
-    return make_extension(semi.base, m.base, h, k, q)
+    return make_extension(m.semilattice[1], m.group_image[1])
 
 
 def is_weakly_schreier(ext: Extension) -> WSSplitting:
@@ -100,9 +100,6 @@ def is_weakly_schreier(ext: Extension) -> WSSplitting:
         values.append(cands[0])
         all_candidates.append(tuple(cands))
     s = make_monoid_map(h, g, values, kind="function")
-    for hh in range(h.n):
-        if ext.q.values[s.values[hh]] != hh:
-            raise TheoremViolation(f"section leaves fiber {hh}")
     return WSSplitting(ext=ext, s=s, candidates=tuple(all_candidates))
 
 
@@ -132,7 +129,7 @@ def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
         raise TheoremViolation(
             f"section {splitting.s.values} differs from greatest-element "
             f"selector {fres.selector}")
-    return WSFInverseReport(f_inverse=fres, extension=ext, splitting=splitting,
+    return WSFInverseReport(extension=ext, splitting=splitting,
                             fiber_witness=fiber_witness, holds=ws)
 
 

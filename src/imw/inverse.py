@@ -120,7 +120,6 @@ class Verdict:
 @dataclass(frozen=True)
 class FInverseResult:
     holds: bool
-    sigma: Congruence
     selector: tuple[int, ...] | None = None  # class index -> greatest element
     witness_class: int | None = None
     witness_maximals: tuple[int, ...] | None = None
@@ -222,21 +221,20 @@ def is_f_inverse(m: InverseMonoid) -> FInverseResult:
     For a finite class this is the same as having a unique maximal element;
     on failure the offending class and its incomparable maximals are returned.
     """
-    sigma, leq = m.sigma, m.leq
+    leq = m.leq
     selector = []
-    for c, members in enumerate(sigma.classes()):
+    for c, members in enumerate(m.sigma.classes()):
         maximals = [x for x in members
                     if not any(leq(x, y) for y in members if y != x)]
         if len(maximals) != 1:
-            return FInverseResult(holds=False, sigma=sigma,
-                                  witness_class=c,
+            return FInverseResult(holds=False, witness_class=c,
                                   witness_maximals=tuple(maximals))
         top = maximals[0]
         if not all(leq(y, top) for y in members):
             raise InternalCharacterizationFailure(
                 f"natural order failed unique maximal is not greatest: {(c, top)}")
         selector.append(top)
-    return FInverseResult(holds=True, sigma=sigma, selector=tuple(selector))
+    return FInverseResult(holds=True, selector=tuple(selector))
 
 
 def is_clifford(m: InverseMonoid) -> Verdict:

@@ -103,7 +103,7 @@ def analyze(m: FiniteMonoid, name: str = "monoid") -> AnalysisReport:
         monoid=m,
         verdicts=verdicts,
         witnesses=witnesses,
-        sigma_classes=[list(c) for c in fr.sigma.classes()],
+        sigma_classes=[list(c) for c in inv.sigma.classes()],
         idempotents=m.idempotents(),
         natural_order_pairs=[list(p) for p in natural_order(inv)],
         max_selector=list(fr.selector) if fr.selector is not None else None,

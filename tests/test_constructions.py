@@ -421,7 +421,7 @@ def test_greatest_element_identities():
         m = validate_inverse(base) if not hasattr(base, "inv") else base
         res = is_f_inverse(m)
         assert res.holds
-        sel, sigma = res.selector, res.sigma
+        sel, sigma = res.selector, m.sigma
         q, _ = quotient(m.base, sigma)
         for g in range(q.n):
             for h in range(q.n):

@@ -1,9 +1,13 @@
 import pytest
 
-from imw.constructions import almost_action_from_f_inverse, gluing_map_from_clifford
+from imw.constructions import (
+    almost_action_from_f_inverse,
+    clifford_reconstruction,
+    gluing_map_from_clifford,
+)
 from imw.core import make_monoid_map, validate_monoid
 from imw.corpus import brandt_b2_1, chain, cyclic_group, m3, m7, sym3
-from imw.errors import EmptyCandidateFiber, KernelMismatch
+from imw.errors import EmptyCandidateFiber, KernelMismatch, PreconditionFailed
 from imw.extension import (
     build_canonical_extension,
     cosplit_retraction,
@@ -43,7 +47,16 @@ def test_make_extension_rejects_wrong_kernel():
     q = make_monoid_map(z4, z2, [0, 1, 0, 1])
     # The kernel of q is {0, 2} but the image of k is only {0}.
     with pytest.raises(KernelMismatch):
-        make_extension(k.source, z4, z2, k, q)
+        make_extension(k, q)
+
+
+def test_make_extension_rejects_maps_that_do_not_compose():
+    # q starts at Z4 but k ends at Z2, so there is no middle object G.
+    z2 = cyclic_group(2)
+    k = make_monoid_map(validate_monoid(1, [[0]], 0), z2, [0])
+    q = make_monoid_map(cyclic_group(4), z2, [0, 1, 0, 1])
+    with pytest.raises(PreconditionFailed):
+        make_extension(k, q)
 
 
 def test_weakly_schreier_on_group_extension():
@@ -86,7 +99,7 @@ def test_biconditional_report(corpus_monoids):
             report = weakly_schreier_iff_f_inverse(m)
         except KernelMismatch:
             continue  # not E-unitary, so no canonical extension
-        assert report.holds == report.f_inverse.holds, name
+        assert report.holds == m.f_inverse.holds, name
         assert report.extension.g_part == m.base, name
         if report.holds:
             assert report.splitting is not None
@@ -149,7 +162,7 @@ def test_section_data_and_cosplit_read_the_cached_idempotent_index():
             return super().__getitem__(e)
 
     for build in (cosplit_retraction, almost_action_from_f_inverse,
-                  gluing_map_from_clifford):
+                  gluing_map_from_clifford, clifford_reconstruction):
         m = validate_inverse(m3())
         assert m.idempotent_index == {e: i for i, e in enumerate(m.semilattice[1].values)}
         m.__dict__["idempotent_index"] = CountingIndex(m.idempotent_index)

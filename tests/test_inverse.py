@@ -440,7 +440,7 @@ def test_m7_not_f_inverse():
     # The failing class is the fiber {(a,g), (b,g), (0,g)} with the two
     # incomparable pairs (a,g) and (b,g) maximal.
     members = [x for x in range(m.n)
-               if res.sigma.class_of[x] == res.witness_class]
+               if m.sigma.class_of[x] == res.witness_class]
     assert sorted(members) == [4, 5, 6]
     assert res.witness_maximals == (4, 5)
     leq = dense_natural_order(m)
@@ -519,7 +519,7 @@ def _no_action_witness():
     # picking a: s*k(b) = b, but every k(n)*s = a.
     rz = validate_monoid(3, [[0, 1, 2], [1, 1, 2], [2, 1, 2]], 0)
     one = trivial_monoid()
-    ext = make_extension(rz, rz, one, make_monoid_map(rz, rz, [0, 1, 2]),
+    ext = make_extension(make_monoid_map(rz, rz, [0, 1, 2]),
                          make_monoid_map(rz, one, [0, 0, 0]))
     s = make_monoid_map(one, rz, [1], kind="function")
     factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
