@@ -66,10 +66,7 @@ def _read_monoid(path: str):
 
 
 def _named_structures():
-    names = {}
-    for inst in builtin_corpus():
-        if inst.kind in ("group", "monoid", "semilattice"):
-            names[inst.name] = inst.payload.base if inst.kind == "semilattice" else inst.payload
+    names = {inst.name: inst.table for inst in builtin_corpus()}
     for g, label in zip(small_groups(), ["z1", "z2", "z3", "z4", "z5", "z6",
                                          "klein", "s3"]):
         names.setdefault(label, g)
@@ -100,7 +97,7 @@ def cmd_extension(args) -> int:
         ext = wsf.extension
         payload["extension"] = {
             "kernel": list(ext.k.values),
-            "quotient": monoid_to_json(ext.h_part),
+            "quotient": monoid_to_json(ext.q.target),
             "projection": list(ext.q.values),
         }
         payload["weakly_schreier"] = wsf.holds

@@ -414,7 +414,7 @@ def factor_system_from_extension(ext: Extension, ws: WSSplitting) \
     object by (h, [n]) ↦ k(n)·s(h) and g ↦ (q(g), [n]) for the n with
     k(n)·s(q(g)) = g.
     """
-    g_mon, h_mon, n_mon = ext.g_part, ext.h_part, ext.n_part
+    n_mon, g_mon, h_mon = ext.k.source, ext.q.source, ext.q.target
     k, s, q = ext.k.values, ws.s.values, ext.q.values
     sim = [[g_mon.mul(k[n], s[h]) for n in range(n_mon.n)] for h in range(h_mon.n)]
     # least[h][g]: the least n with k(n)·s(h) = g.

@@ -16,6 +16,7 @@ from .errors import (
     NotAssociative,
     NotHomomorphism,
     NotIdentity,
+    ValidationError,
 )
 
 
@@ -82,13 +83,13 @@ def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
     lexicographic order, to name the first failing triple as the witness.
     """
     if n <= 0:
-        raise IndexOutOfRange("element count", n, 0)
+        raise ValidationError(f"element count: expected at least 1, got {n}")
     if len(table) != n:
-        raise IndexOutOfRange("row count", len(table), n + 1)
+        raise ValidationError(f"row count: expected {n}, got {len(table)}")
     rows = []
     for i, row in enumerate(table):
         if len(row) != n:
-            raise IndexOutOfRange(f"row {i} length", len(row), n + 1)
+            raise ValidationError(f"row {i} length: expected {n}, got {len(row)}")
         r = tuple(row)
         if min(r) < 0 or max(r) >= n:
             bad = next(v for v in r if not 0 <= v < n)
@@ -111,7 +112,7 @@ def validate_monoid(n: int, table: Sequence[Sequence[int]], id: int,
                         raise NotAssociative(x, y, z)
     lab = tuple(str(s) for s in labels) if labels is not None else None
     if lab is not None and len(lab) != n:
-        raise IndexOutOfRange("label count", len(lab), n + 1)
+        raise ValidationError(f"label count: expected {n}, got {len(lab)}")
     return FiniteMonoid(n=n, table=t, id=id, labels=lab)
 
 
@@ -196,7 +197,7 @@ def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,
                     values: Sequence[int], kind: str = "homomorphism") -> MonoidMap:
     vals = tuple(int(v) for v in values)
     if len(vals) != source.n:
-        raise IndexOutOfRange("map length", len(vals), source.n + 1)
+        raise ValidationError(f"map length: expected {source.n}, got {len(vals)}")
     for v in vals:
         if not (0 <= v < target.n):
             raise IndexOutOfRange("map value", v, target.n)
@@ -223,7 +224,7 @@ def first_occurrence_classes(keys: Sequence[int]) -> tuple[int, ...]:
 def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
     """Canonicalize a class vector and verify compatibility with the table."""
     if len(class_of) != m.n:
-        raise IndexOutOfRange("class vector length", len(class_of), m.n + 1)
+        raise ValidationError(f"class vector length: expected {m.n}, got {len(class_of)}")
     # canon numbers the classes 0, 1, ... in order of first occurrence, and
     # least[c] is the least member of class c.
     renum: dict[int, int] = {}
@@ -250,14 +251,6 @@ def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
             y = list(map(ne, row, expected)).index(True)
             raise NotACongruence(((rep[x], rep[y]), (x, y)))
     return Congruence(monoid=m, class_of=tuple(canon), num_classes=len(least))
-
-
-def identity_congruence(m: FiniteMonoid) -> Congruence:
-    return make_congruence(m, list(range(m.n)))
-
-
-def universal_congruence(m: FiniteMonoid) -> Congruence:
-    return make_congruence(m, [0] * m.n)
 
 
 def quotient(m: FiniteMonoid, theta: Congruence) -> tuple[FiniteMonoid, MonoidMap]:

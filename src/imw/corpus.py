@@ -15,9 +15,7 @@ from typing import Iterator, Sequence
 
 from .constructions import (
     AlmostAction,
-    FactorSystem,
     GluingMap,
-    factor_system_from_almost_action,
     validate_almost_action,
     validate_gluing_map,
 )
@@ -31,9 +29,9 @@ DEFAULT_BUDGET = 10 ** 7
 @dataclass(frozen=True)
 class CorpusInstance:
     name: str
-    kind: str  # monoid | group | semilattice | almost-action | gluing-map | factor-system
-    payload: object
-    expected: dict | None = None
+    kind: str  # monoid | group | semilattice
+    table: FiniteMonoid
+    expected: dict
 
 
 # --- named builders -------------------------------------------------------
@@ -127,7 +125,7 @@ ALL_TRUE = {"inverse": True, "e_unitary": True, "f_inverse": True,
 
 
 def builtin_corpus() -> list[CorpusInstance]:
-    """Named instances pinning every predicate in both polarities."""
+    """Named tables pinning every predicate in both polarities."""
     groups = [
         ("t1", trivial_monoid()),
         ("z2", cyclic_group(2)),
@@ -139,7 +137,7 @@ def builtin_corpus() -> list[CorpusInstance]:
     semis = [("ch2", chain(2)), ("ch3", chain(3)), ("ch4", chain(4)),
              ("d4", diamond())]
     out = [CorpusInstance(name, "group", g, dict(ALL_TRUE)) for name, g in groups]
-    out += [CorpusInstance(name, "semilattice", s, dict(ALL_TRUE))
+    out += [CorpusInstance(name, "semilattice", s.base, dict(ALL_TRUE))
             for name, s in semis]
     out.append(CorpusInstance("m3", "monoid", m3(), dict(ALL_TRUE)))
     out.append(CorpusInstance("b2-1", "monoid", brandt_b2_1(), {
@@ -148,10 +146,6 @@ def builtin_corpus() -> list[CorpusInstance]:
     out.append(CorpusInstance("m7", "monoid", m7(), {
         "inverse": True, "e_unitary": True, "f_inverse": False,
         "clifford": False, "weakly_schreier": False}))
-    out.append(CorpusInstance("z2-ch2-action", "almost-action", z2_ch2_action()))
-    out.append(CorpusInstance("z2-ch2-gluing", "gluing-map", z2_ch2_gluing()))
-    out.append(CorpusInstance("z2-ch2-factors", "factor-system",
-                              factor_system_from_almost_action(z2_ch2_action())))
     return out
 
 

@@ -68,18 +68,12 @@ class NonUniqueInverse(ValidationError):
         super().__init__(f"element {x} has several generalized inverses: {sorted(candidates)}")
 
 
-class InternalCheckFailed(ImwError):
+class InternalCharacterizationFailure(ImwError):
     """A mathematically guaranteed cross-check failed; indicates a bug, not bad input."""
 
 
-class InternalCharacterizationFailure(InternalCheckFailed):
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
-
-class TheoremViolation(InternalCheckFailed):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+class TheoremViolation(ImwError):
+    """A theorem the workbench certifies fails on an instance; indicates a bug, not bad input."""
 
 
 # --- extensions -------------------------------------------------------------
@@ -120,7 +114,7 @@ class IdentityNotTop(ValidationError):
         super().__init__(f"map must send the group identity to the top element, got {got}")
 
 
-class IllDefinedMultiplication(InternalCheckFailed):
+class IllDefinedMultiplication(ImwError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"product depends on representatives: {witness}")
@@ -128,7 +122,6 @@ class IllDefinedMultiplication(InternalCheckFailed):
 
 class PreconditionFailed(ImwError):
     def __init__(self, requirement: str, witness=None):
-        self.requirement = requirement
         self.witness = witness
         super().__init__(f"precondition not met: {requirement}"
                          + (f" (witness {witness})" if witness is not None else ""))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMonoid, MonoidMap, make_monoid_map
+from .core import MonoidMap, make_monoid_map
 from .errors import (
     EmptyCandidateFiber,
     KernelMismatch,
@@ -24,23 +24,18 @@ from .inverse import InverseMonoid
 
 @dataclass(frozen=True)
 class Extension:
-    n_part: FiniteMonoid
-    g_part: FiniteMonoid
-    h_part: FiniteMonoid
     k: MonoidMap  # N -> G, injective
     q: MonoidMap  # G -> H, surjective
 
 
 @dataclass(frozen=True)
 class WSSplitting:
-    ext: Extension
     s: MonoidMap  # H -> G, set-theoretic section of q
     candidates: tuple[tuple[int, ...], ...]  # admissible section values per fiber
 
 
 @dataclass(frozen=True)
 class Cosplitting:
-    ext: Extension
     ell: MonoidMap  # G -> N, retraction of k
     ell_is_homomorphism: bool
 
@@ -67,7 +62,7 @@ def make_extension(k: MonoidMap, q: MonoidMap) -> Extension:
         raise KernelMismatch(x, "in the kernel but not in the image of k")
     for x in sorted(image - kernel):
         raise KernelMismatch(x, "in the image of k but not in the kernel")
-    return Extension(n_part=k.source, g_part=k.target, h_part=q.target, k=k, q=q)
+    return Extension(k=k, q=q)
 
 
 def build_canonical_extension(m: InverseMonoid) -> Extension:
@@ -81,7 +76,7 @@ def is_weakly_schreier(ext: Extension) -> WSSplitting:
     The defining condition constrains only the section value of each fiber,
     so fibers are searched independently; the least admissible index wins.
     """
-    g, h, n_part = ext.g_part, ext.h_part, ext.n_part
+    g, h = ext.q.source, ext.q.target
     fibers: list[list[int]] = [[] for _ in range(h.n)]
     for x in range(g.n):
         fibers[ext.q.values[x]].append(x)
@@ -92,7 +87,7 @@ def is_weakly_schreier(ext: Extension) -> WSSplitting:
         fiber = fibers[hh]
         cands = []
         for x in fiber:
-            reachable = {g.mul(kimg[n], x) for n in range(n_part.n)}
+            reachable = {g.mul(e, x) for e in kimg}
             if all(y in reachable for y in fiber):
                 cands.append(x)
         if not cands:
@@ -100,7 +95,7 @@ def is_weakly_schreier(ext: Extension) -> WSSplitting:
         values.append(cands[0])
         all_candidates.append(tuple(cands))
     s = make_monoid_map(h, g, values, kind="function")
-    return WSSplitting(ext=ext, s=s, candidates=tuple(all_candidates))
+    return WSSplitting(s=s, candidates=tuple(all_candidates))
 
 
 def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
@@ -136,14 +131,14 @@ def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
 def cosplit_retraction(m: InverseMonoid) -> Cosplitting:
     """The retraction l(x) = x*inv(x) of the kernel inclusion; homomorphy is reported, not required."""
     ext = build_canonical_extension(m)
-    n_part = ext.n_part
+    semi = ext.k.source
     pos = m.idempotent_index
     values = [pos[m.mul(x, m.inv[x])] for x in range(m.n)]
-    ell = make_monoid_map(ext.g_part, n_part, values, kind="function")
+    ell = make_monoid_map(ext.q.source, semi, values, kind="function")
     for i, e in enumerate(ext.k.values):
         if ell.values[e] != i:
             raise NotHomomorphism(i, None, "l∘k is not the identity")
-    is_hom = values[m.id] == n_part.id and all(
-        values[m.mul(x, y)] == n_part.mul(values[x], values[y])
+    is_hom = values[m.id] == semi.id and all(
+        values[m.mul(x, y)] == semi.mul(values[x], values[y])
         for x in range(m.n) for y in range(m.n))
-    return Cosplitting(ext=ext, ell=ell, ell_is_homomorphism=is_hom)
+    return Cosplitting(ell=ell, ell_is_homomorphism=is_hom)

@@ -87,12 +87,8 @@ class SuiteContext:
 
 
 def build_context() -> SuiteContext:
-    monoids: list[tuple[str, InverseMonoid]] = []
-    for inst in builtin_corpus():
-        if inst.kind in ("monoid", "group"):
-            monoids.append((inst.name, validate_inverse(inst.payload)))
-        elif inst.kind == "semilattice":
-            monoids.append((inst.name, validate_inverse(inst.payload.base)))
+    monoids: list[tuple[str, InverseMonoid]] = [
+        (inst.name, validate_inverse(inst.table)) for inst in builtin_corpus()]
     for i, m in enumerate(enumerate_inverse_monoids(4)):
         monoids.append((f"enum{m.n}#{i}", m))
 

@@ -4,7 +4,7 @@ from typing import Sequence
 
 import pytest
 
-from imw.core import tabulate
+from imw.core import make_congruence, tabulate
 from imw.corpus import builtin_corpus
 from imw.inverse import validate_inverse
 
@@ -12,13 +12,15 @@ from imw.inverse import validate_inverse
 @pytest.fixture(scope="session")
 def corpus_monoids():
     """Every builtin instance that is a monoid, as (name, InverseMonoid)."""
-    out = []
-    for inst in builtin_corpus():
-        if inst.kind in ("monoid", "group"):
-            out.append((inst.name, validate_inverse(inst.payload)))
-        elif inst.kind == "semilattice":
-            out.append((inst.name, validate_inverse(inst.payload.base)))
-    return out
+    return [(inst.name, validate_inverse(inst.table)) for inst in builtin_corpus()]
+
+
+def identity_congruence(m):
+    return make_congruence(m, list(range(m.n)))
+
+
+def universal_congruence(m):
+    return make_congruence(m, [0] * m.n)
 
 
 def _symmetric_inverse_monoid(k):

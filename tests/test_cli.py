@@ -153,12 +153,7 @@ def test_exit_code_contract_over_builtin_corpus(tmp_path):
     from imw.report import analyze
 
     for inst in builtin_corpus():
-        if inst.kind == "monoid" or inst.kind == "group":
-            m = inst.payload
-        elif inst.kind == "semilattice":
-            m = inst.payload.base
-        else:
-            continue
+        m = inst.table
         p = tmp_path / f"{inst.name}.mtab"
         p.write_text(serialize_mtab(m), encoding="utf-8")
         expected = 0 if analyze(m, inst.name).all_pass else 1

@@ -350,9 +350,9 @@ def test_factor_system_from_extension_needs_a_weakly_schreier_section():
     m = validate_inverse(m7())
     ext = build_canonical_extension(m)
     for pick in (4, 5, 6):
-        s = make_monoid_map(ext.h_part, ext.g_part, [0, pick], kind="function")
+        s = make_monoid_map(ext.q.target, ext.q.source, [0, pick], kind="function")
         with pytest.raises(PreconditionFailed, match="weakly Schreier"):
-            factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
+            factor_system_from_extension(ext, WSSplitting(s=s, candidates=()))
 
 
 def _extraction_cases(corpus_monoids):
@@ -386,7 +386,7 @@ def test_extraction_witnesses_are_the_theorem_maps(corpus_monoids):
         ext, s = wsf.extension, wsf.splitting.s.values
         fs, w = factor_system_from_extension(ext, wsf.splitting)
         xp = crossed_product(fs)
-        assert (w.a, w.b) == (xp.monoid, ext.g_part)
+        assert (w.a, w.b) == (xp.monoid, ext.q.source)
         for (h, c), img in zip(xp.elements, w.forward.values):
             assert {m.mul(ext.k.values[n], s[h]) for n in range(fs.n_part.n)
                     if fs.sim[h][n] == c} == {img}

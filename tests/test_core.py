@@ -5,20 +5,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (_monoid_tables_by_scan, _semilattices_by_scan,
-                      _symmetric_inverse_monoid)
+                      _symmetric_inverse_monoid, identity_congruence,
+                      universal_congruence)
 from imw.core import (
     Congruence,
     _generators,
     backtrack,
     direct_product,
     generated_submonoid,
-    identity_congruence,
     is_group,
     make_congruence,
     make_monoid_map,
     quotient,
     tabulate,
-    universal_congruence,
     validate_monoid,
 )
 from imw.corpus import (
@@ -40,6 +39,7 @@ from imw.errors import (
     NotAssociative,
     NotHomomorphism,
     NotIdentity,
+    ValidationError,
 )
 from imw.inverse import is_clifford, validate_inverse
 from imw.iso import brute_force_iso
@@ -132,6 +132,24 @@ def test_range_error_names_the_first_bad_cell_row_by_row(table, message):
     with pytest.raises(IndexOutOfRange) as exc:
         validate_monoid(3, table, 0)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: validate_monoid(0, [], 0), "element count: expected at least 1, got 0"),
+    (lambda: validate_monoid(-1, [], 0), "element count: expected at least 1, got -1"),
+    (lambda: validate_monoid(2, [[0, 1]], 0), "row count: expected 2, got 1"),
+    (lambda: validate_monoid(2, [[0, 1], [1, 0], [0, 0]], 0), "row count: expected 2, got 3"),
+    (lambda: validate_monoid(2, [[0, 1], [1]], 0), "row 1 length: expected 2, got 1"),
+    (lambda: validate_monoid(2, [[0, 1], [1, 0]], 0, ["1"]), "label count: expected 2, got 1"),
+    (lambda: make_monoid_map(m3(), cyclic_group(2), [0, 0]), "map length: expected 3, got 2"),
+    (lambda: make_congruence(m3(), [0, 0, 1, 1]), "class vector length: expected 3, got 4"),
+])
+def test_length_error_states_the_expected_length(build, message):
+    # A wrong length is not a value out of range, so no range is named.
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, IndexOutOfRange)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,10 +336,9 @@ def test_validator_witness_on_planted_cells_in_large_tables():
 
 def test_validator_accepts_every_corpus_and_enumerated_table():
     for inst in builtin_corpus():
-        if inst.kind in ("monoid", "group", "semilattice"):
-            m = inst.payload if inst.kind != "semilattice" else inst.payload.base
-            again = validate_monoid(m.n, m.table, m.id, m.labels)
-            assert (again.table, again.labels) == (m.table, m.labels)
+        m = inst.table
+        again = validate_monoid(m.n, m.table, m.id, m.labels)
+        assert (again.table, again.labels) == (m.table, m.labels)
     tables = [t for n in range(1, 6) for t in _monoid_tables_by_scan(n)]
     assert len(tables) == 1 + 2 + 11 + 156 + 4122
     for table in tables:

@@ -10,7 +10,6 @@ from conftest import (
     _monoid_tables_by_scan,
     _semilattices_by_scan,
 )
-from imw.constructions import validate_almost_action, validate_gluing_map
 from imw.core import is_group, validate_monoid
 from imw.corpus import (
     _add_atom,
@@ -35,28 +34,23 @@ from imw.iso import brute_force_iso
 from imw.report import analyze
 
 
-def test_builtin_payloads_validate():
+def test_builtin_tables_validate():
+    # Every table is inverse, and its kind is the one the table has.
     for inst in builtin_corpus():
-        if inst.kind in ("monoid", "group"):
-            validate_inverse(inst.payload)
-            if inst.kind == "group":
-                assert is_group(inst.payload), inst.name
-        elif inst.kind == "semilattice":
-            validate_semilattice(inst.payload.base)
-        elif inst.kind == "almost-action":
-            validate_almost_action(inst.payload.group, inst.payload.semilattice,
-                                   inst.payload.dot)
-        elif inst.kind == "gluing-map":
-            validate_gluing_map(inst.payload.group, inst.payload.semilattice,
-                                inst.payload.f)
+        m = validate_inverse(inst.table)
+        if is_group(m.base):
+            kind = "group"
+        elif all(m.base.is_idempotent(x) for x in range(m.n)):
+            validate_semilattice(m.base)
+            kind = "semilattice"
+        else:
+            kind = "monoid"
+        assert kind == inst.kind, inst.name
 
 
 def test_builtin_expected_verdicts():
     for inst in builtin_corpus():
-        if inst.expected is None:
-            continue
-        base = inst.payload.base if inst.kind == "semilattice" else inst.payload
-        report = analyze(base, inst.name)
+        report = analyze(inst.table, inst.name)
         for key, want in inst.expected.items():
             assert report.verdicts[key] == want, (inst.name, key)
 

@@ -32,6 +32,7 @@ from imw.corpus import (
     m3,
     m7,
     sym3,
+    z2_ch2_gluing,
 )
 from imw.mtab import gluing_map_to_json, serialize_mtab
 from imw.report import analyze, emit_report, to_canonical_json
@@ -39,12 +40,7 @@ from imw.report import analyze, emit_report, to_canonical_json
 
 def digest_inputs():
     """(name, FiniteMonoid) for every table whose output is pinned."""
-    out = []
-    for inst in builtin_corpus():
-        if inst.kind in ("monoid", "group"):
-            out.append((inst.name, inst.payload))
-        elif inst.kind == "semilattice":
-            out.append((inst.name, inst.payload.base))
+    out = [(inst.name, inst.table) for inst in builtin_corpus()]
     for i, m in enumerate(enumerate_inverse_monoids(4)):
         out.append((f"enum{m.n}-{i}", m.base))
     z2, z3 = cyclic_group(2), cyclic_group(3)
@@ -207,8 +203,7 @@ def test_every_input_is_pinned():
     assert sorted(EXPECTED) == sorted(INPUTS)
 
 
-CORPUS_TABLES = [inst.name for inst in builtin_corpus()
-                 if inst.kind in ("monoid", "group", "semilattice")]
+CORPUS_TABLES = [inst.name for inst in builtin_corpus()]
 
 DECOMPOSE_EXPECTED = {
     "t1": "202a0fafe5eabd47752156fb7cd5d03c0c1e00d5e89e1a1ead52d911efa39a59",
@@ -236,10 +231,9 @@ def test_decompose_bytes_unchanged(name, tmp_path):
 
 def gluing_documents():
     """(name, gluing-map JSON document) for every pinned ``construct gluing``."""
-    corpus = {inst.name: inst.payload for inst in builtin_corpus()}
     # Map 11 over the non-abelian S3 and the 3-chain takes all three values.
     s3_ch3 = list(enumerate_gluing_maps(sym3(), chain(3)))[11]
-    return [("z2-ch2-gluing", gluing_map_to_json(corpus["z2-ch2-gluing"])),
+    return [("z2-ch2-gluing", gluing_map_to_json(z2_ch2_gluing())),
             ("s3-ch3-gluing-11", gluing_map_to_json(s3_ch3))]
 
 

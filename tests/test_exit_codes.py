@@ -165,6 +165,19 @@ def test_construct_refuses_a_cell_that_is_not_an_int(tmp_path, what, cell):
     assert "table must be a list of lists of integers" in err
 
 
+@pytest.mark.parametrize("group, message", [
+    ({"n": 2, "id": 0, "table": [[0, 1]]}, "row count: expected 2, got 1"),
+    ({"n": 0, "id": 0, "table": []}, "element count: expected at least 1, got 0"),
+], ids=["one-row", "empty"])
+def test_construct_names_the_expected_length(tmp_path, group, message):
+    doc = {**_DOCS["fproduct"], "group": group}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(["construct", "fproduct", str(path)])
+    _assert_contract(code, out, err, codes=(2,))
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("cell", ["1.0", "True", "'1'"], ids=["float", "bool", "string"])
 def test_check_refuses_a_cell_that_is_not_an_int(tmp_path, cell):
     path = tmp_path / "z2.mtab"

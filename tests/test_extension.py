@@ -22,14 +22,14 @@ from imw.iso import brute_force_iso
 def test_canonical_extension_of_group():
     g = validate_inverse(sym3())
     ext = build_canonical_extension(g)
-    assert ext.n_part.n == 1
-    assert brute_force_iso(ext.h_part, sym3()) is not None
+    assert ext.k.source.n == 1
+    assert brute_force_iso(ext.q.target, sym3()) is not None
 
 
 def test_canonical_extension_of_m3():
     ext = build_canonical_extension(validate_inverse(m3()))
     assert ext.k.values == (0, 1)  # the chain {1, e}
-    assert brute_force_iso(ext.h_part, cyclic_group(2)) is not None
+    assert brute_force_iso(ext.q.target, cyclic_group(2)) is not None
     assert ext.q.values == (0, 0, 1)
 
 
@@ -89,7 +89,7 @@ def test_section_stays_in_fiber(corpus_monoids):
             ws = is_weakly_schreier(ext)
         except EmptyCandidateFiber:
             continue
-        for h in range(ext.h_part.n):
+        for h in range(ext.q.target.n):
             assert ext.q.values[ws.s.values[h]] == h, name
 
 
@@ -100,22 +100,28 @@ def test_biconditional_report(corpus_monoids):
         except KernelMismatch:
             continue  # not E-unitary, so no canonical extension
         assert report.holds == m.f_inverse.holds, name
-        assert report.extension.g_part == m.base, name
+        assert report.extension.k is m.semilattice[1], name
+        assert report.extension.q is m.group_image[1], name
         if report.holds:
             assert report.splitting is not None
-            assert report.splitting.ext is report.extension, name
         else:
             assert report.fiber_witness is not None
 
 
 def test_cosplit_on_group():
-    cs = cosplit_retraction(validate_inverse(sym3()))
+    m = validate_inverse(sym3())
+    cs = cosplit_retraction(m)
+    assert cs.ell.source is m.base
+    assert cs.ell.target is m.semilattice[1].source
     assert set(cs.ell.values) == {0}
     assert cs.ell_is_homomorphism
 
 
 def test_cosplit_on_m3():
-    cs = cosplit_retraction(validate_inverse(m3()))
+    m = validate_inverse(m3())
+    cs = cosplit_retraction(m)
+    assert cs.ell.source is m.base
+    assert cs.ell.target is m.semilattice[1].source
     assert cs.ell.values == (0, 1, 1)  # 1->1, e->e, t->t*t^-1 = e
     assert cs.ell_is_homomorphism
 
@@ -124,9 +130,9 @@ def test_cosplit_on_m7_is_not_homomorphism():
     # l((a,g)(a,g)) = l((0,1)) = (0,1) but l(a,g)*l(a,g) = (a,1).
     m = validate_inverse(m7())
     cs = cosplit_retraction(m)
-    n_part = cs.ext.n_part
+    semi = cs.ell.target
     v = cs.ell.values
-    direct = all(v[m.mul(x, y)] == n_part.mul(v[x], v[y])
+    direct = all(v[m.mul(x, y)] == semi.mul(v[x], v[y])
                  for x in range(m.n) for y in range(m.n))
     assert not direct
     assert cs.ell_is_homomorphism == direct
@@ -138,7 +144,9 @@ def test_cosplit_retraction_identity(corpus_monoids):
             cs = cosplit_retraction(m)
         except KernelMismatch:
             continue
-        for i, e in enumerate(cs.ext.k.values):
+        assert cs.ell.source is m.base, name
+        assert cs.ell.target is m.semilattice[1].source, name
+        for i, e in enumerate(m.semilattice[1].values):
             assert cs.ell.values[e] == i, name
 
 

@@ -368,7 +368,7 @@ def derivation_calls(monkeypatch):
     def counter(name, original):
         def counting(m, *args):
             if name != "quotient" or any(args[0] is s for s in sigmas):
-                calls[name].append(m.g_part if name == "is_weakly_schreier" else m)
+                calls[name].append(m.q.source if name == "is_weakly_schreier" else m)
             result = original(m, *args)
             if name == "min_group_congruence":
                 sigmas.append(result)
@@ -522,14 +522,14 @@ def _no_action_witness():
     ext = make_extension(make_monoid_map(rz, rz, [0, 1, 2]),
                          make_monoid_map(rz, one, [0, 0, 0]))
     s = make_monoid_map(one, rz, [1], kind="function")
-    factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
+    factor_system_from_extension(ext, WSSplitting(s=s, candidates=()))
 
 
 def _no_chi_witness():
     # Z2 over itself with the section swapped: s(0)*s(0) = 1*1 = 0, but k(n)*s(0) = 1.
     ext = build_canonical_extension(validate_inverse(cyclic_group(2)))
-    s = make_monoid_map(ext.h_part, ext.g_part, [1, 0], kind="function")
-    factor_system_from_extension(ext, WSSplitting(ext=ext, s=s, candidates=()))
+    s = make_monoid_map(ext.q.target, ext.q.source, [1, 0], kind="function")
+    factor_system_from_extension(ext, WSSplitting(s=s, candidates=()))
 
 
 @pytest.mark.parametrize("fail, cls, message", [
