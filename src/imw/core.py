@@ -60,15 +60,16 @@ class Congruence:
     """Partition of a monoid compatible with multiplication.
 
     ``class_of`` uses contiguous class indices numbered by first occurrence,
-    which makes equal congruences compare equal.
+    which makes equal congruences compare equal; ``reps[c]`` is the least
+    member of class c.
     """
 
     monoid: FiniteMonoid
     class_of: tuple[int, ...]
-    num_classes: int
+    reps: tuple[int, ...]
 
     def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_classes)]
+        out: list[list[int]] = [[] for _ in self.reps]
         for x, c in enumerate(self.class_of):
             out[c].append(x)
         return out
@@ -194,24 +195,22 @@ def backtrack(domains: Sequence[Iterable], accept: Callable[[list, int], bool]) 
 
 
 def make_monoid_map(source: FiniteMonoid, target: FiniteMonoid,
-                    values: Sequence[int], kind: str = "homomorphism") -> MonoidMap:
+                    values: Sequence[int]) -> MonoidMap:
+    """Check that ``values`` is a homomorphism from ``source`` to ``target``."""
     vals = tuple(int(v) for v in values)
     if len(vals) != source.n:
         raise ValidationError(f"map length: expected {source.n}, got {len(vals)}")
     for v in vals:
         if not (0 <= v < target.n):
             raise IndexOutOfRange("map value", v, target.n)
-    if kind == "homomorphism":
-        if vals[source.id] != target.id:
-            raise NotHomomorphism(source.id)
-        st, tt = source.table, target.table
-        for x in range(source.n):
-            sx, tvx = st[x], tt[vals[x]]
-            for y in range(source.n):
-                if vals[sx[y]] != tvx[vals[y]]:
-                    raise NotHomomorphism(x, y)
-    elif kind != "function":
-        raise ValueError(f"unknown map kind {kind!r}")
+    if vals[source.id] != target.id:
+        raise NotHomomorphism(source.id)
+    st, tt = source.table, target.table
+    for x in range(source.n):
+        sx, tvx = st[x], tt[vals[x]]
+        for y in range(source.n):
+            if vals[sx[y]] != tvx[vals[y]]:
+                raise NotHomomorphism(x, y)
     return MonoidMap(source=source, target=target, values=vals)
 
 
@@ -250,27 +249,21 @@ def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
         if row != expected:
             y = list(map(ne, row, expected)).index(True)
             raise NotACongruence(((rep[x], rep[y]), (x, y)))
-    return Congruence(monoid=m, class_of=tuple(canon), num_classes=len(least))
+    return Congruence(monoid=m, class_of=tuple(canon), reps=tuple(least))
 
 
-def quotient(m: FiniteMonoid, theta: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
-    """Quotient monoid on the classes of ``theta`` plus the projection map."""
-    if theta.monoid is not m and theta.monoid != m:
-        raise NotACongruence("congruence belongs to a different monoid")
-    cls, t = theta.class_of, m.table
-    reps = [-1] * theta.num_classes
-    for x in range(m.n):
-        if reps[cls[x]] < 0:
-            reps[cls[x]] = x
-    rep = [reps[c] for c in cls]  # the least member of each element's class
-    # Well-definedness over every representative pair, not just the chosen ones.
-    for x in range(m.n):
-        for y in range(m.n):
-            if rep[t[x][y]] != rep[t[rep[x]][rep[y]]]:
-                raise NotACongruence(((rep[x], rep[y]), (x, y)))
-    # Class c is its least member reps[c], multiplied through the representatives.
-    q, _ = tabulate(reps, lambda x, y: rep[t[x][y]], rep[m.id], lambda x: f"[{m.label(x)}]")
-    return q, make_monoid_map(m, q, cls)
+def quotient(theta: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
+    """Quotient monoid on the classes of ``theta`` plus the projection map.
+
+    ``make_congruence`` has checked compatibility, so class c is its least
+    member reps[c], multiplied through the representatives, and the
+    projection x -> class_of[x] is a homomorphism.
+    """
+    m, cls, reps = theta.monoid, theta.class_of, theta.reps
+    t = m.table
+    q, _ = tabulate(reps, lambda x, y: reps[cls[t[x][y]]], reps[cls[m.id]],
+                    lambda x: f"[{m.label(x)}]")
+    return q, MonoidMap(m, q, cls)
 
 
 def direct_product(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
@@ -298,7 +291,7 @@ def generated_submonoid(m: FiniteMonoid, subset: Sequence[int]) \
                     frontier.append(p)
     order = sorted(elems)
     sub, _ = tabulate(order, m.mul, m.id, m.label)
-    return sub, make_monoid_map(sub, m, order)
+    return sub, MonoidMap(sub, m, tuple(order))
 
 
 def is_group(m: FiniteMonoid) -> bool:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MonoidMap, make_monoid_map
+from .core import MonoidMap
 from .errors import (
     EmptyCandidateFiber,
     KernelMismatch,
-    NotHomomorphism,
     PreconditionFailed,
     TheoremViolation,
 )
@@ -94,7 +93,7 @@ def is_weakly_schreier(ext: Extension) -> WSSplitting:
             raise EmptyCandidateFiber(hh, fiber)
         values.append(cands[0])
         all_candidates.append(tuple(cands))
-    s = make_monoid_map(h, g, values, kind="function")
+    s = MonoidMap(h, g, tuple(values))
     return WSSplitting(s=s, candidates=tuple(all_candidates))
 
 
@@ -129,16 +128,15 @@ def weakly_schreier_iff_f_inverse(m: InverseMonoid) -> WSFInverseReport:
 
 
 def cosplit_retraction(m: InverseMonoid) -> Cosplitting:
-    """The retraction l(x) = x*inv(x) of the kernel inclusion; homomorphy is reported, not required."""
+    """The retraction l(x) = x*inv(x) of the kernel inclusion; homomorphy is reported, not required.
+
+    l∘k is the identity since inv(e) = e for an idempotent e. l is a
+    homomorphism iff M is Clifford: central idempotents give l(x*y) =
+    x*l(y)*inv(x) = l(x)*l(y), and conversely l(inv(x)*x) = l(inv(x))*l(x)
+    and its mirror give inv(x)*x = x*inv(x).
+    """
     ext = build_canonical_extension(m)
-    semi = ext.k.source
     pos = m.idempotent_index
-    values = [pos[m.mul(x, m.inv[x])] for x in range(m.n)]
-    ell = make_monoid_map(ext.q.source, semi, values, kind="function")
-    for i, e in enumerate(ext.k.values):
-        if ell.values[e] != i:
-            raise NotHomomorphism(i, None, "l∘k is not the identity")
-    is_hom = values[m.id] == semi.id and all(
-        values[m.mul(x, y)] == semi.mul(values[x], values[y])
-        for x in range(m.n) for y in range(m.n))
-    return Cosplitting(ell=ell, ell_is_homomorphism=is_hom)
+    ell = MonoidMap(ext.q.source, ext.k.source,
+                    tuple(pos[m.mul(x, m.inv[x])] for x in range(m.n)))
+    return Cosplitting(ell=ell, ell_is_homomorphism=m.clifford.holds)

@@ -17,7 +17,6 @@ from .core import (
     FiniteMonoid,
     MonoidMap,
     make_congruence,
-    make_monoid_map,
     quotient,
     tabulate,
 )
@@ -87,7 +86,7 @@ class InverseMonoid:
 
     @cached_property
     def group_image(self) -> tuple[FiniteMonoid, MonoidMap]:  # M/σ and q
-        return quotient(self.base, self.sigma)
+        return quotient(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,9 @@ def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidM
             if m.mul(e, f) not in iset:
                 raise InternalCharacterizationFailure(
                     f"idempotents not closed under product at ({e},{f})")
+    # validate_inverse found the idempotents commuting, so E(M) is a semilattice.
     sub, _ = tabulate(idem, m.mul, m.id, m.label)
-    return validate_semilattice(sub), make_monoid_map(sub, m.base, idem)
+    return SemilatticeMonoid(sub), MonoidMap(sub, m.base, tuple(idem))
 
 
 def natural_order(m: InverseMonoid) -> list[tuple[int, int]]:

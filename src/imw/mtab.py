@@ -111,12 +111,10 @@ def parse_mtab_document(text: str) -> MtabDocument:
                 continue
             except ValueError:  # a token too long for int(), named below
                 pass
-        col = 1
-        row = []
+        col = 1  # some token is not a valid integer: _parse_int names the first
         for tok in toks:
-            row.append(_parse_int(tok, lineno, col))
+            _parse_int(tok, lineno, col)
             col += len(tok) + 1
-        rows.append(tuple(row))
     inv: tuple[int, ...] | None = None
     if pos < len(lines) and lines[pos][1].startswith("inv="):
         lineno, body = need("inv")

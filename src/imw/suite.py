@@ -242,7 +242,7 @@ def sigma_by_exhaustion(m: InverseMonoid) -> tuple[tuple[int, ...], int]:
     related = [[True] * n for _ in range(n)]
     found = 0
     for cong in all_congruences(m.base):
-        q, _ = quotient(m.base, cong)
+        q, _ = quotient(cong)
         if not is_group(q):
             continue
         found += 1

@@ -293,7 +293,10 @@ def _action_doc():
     ("gluing", {**_gluing_doc(), "group": {**_gluing_doc()["group"],
                                            "labels": [None, "b"]}},
      "group.labels must be a list of strings"),
-], ids=["missing-key", "string-n", "non-list-dot", "nested-list-label", "null-label"])
+    ("fproduct", {k: v for k, v in _action_doc().items() if k != "group"},
+     "missing key 'group'"),
+], ids=["missing-key", "string-n", "non-list-dot", "nested-list-label", "null-label",
+        "missing-group"])
 def test_malformed_construction_json_is_a_usage_error(what, doc, message, tmp_path):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -301,6 +304,18 @@ def test_malformed_construction_json_is_a_usage_error(what, doc, message, tmp_pa
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and message in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_construct_crossed_names_the_failing_condition(tmp_path):
+    from imw.constructions import factor_system_from_almost_action
+    from imw.corpus import z2_ch2_action
+    from imw.mtab import factor_system_to_json
+    doc = factor_system_to_json(factor_system_from_almost_action(z2_ch2_action()))
+    doc["act"][0][1] = 0  # the identity of Z2 must fix every element of N
+    p = tmp_path / "factors.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    r = run_cli("construct", "crossed", str(p))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: condition 9 fails at (1,)\n")
 
 
 def test_gluing_with_a_carriage_return_label(tmp_path):

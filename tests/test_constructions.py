@@ -15,7 +15,7 @@ from imw.constructions import (
     validate_factor_system,
     validate_gluing_map,
 )
-from imw.core import direct_product, make_monoid_map, quotient, validate_monoid
+from imw.core import MonoidMap, direct_product, quotient, validate_monoid
 from imw.corpus import (
     chain,
     cyclic_group,
@@ -118,6 +118,51 @@ def test_altered_chi_fails_condition():
     with pytest.raises(ConditionViolation) as exc:
         validate_factor_system(fs.h_part, fs.n_part, fs.sim, fs.act, chi)
     assert exc.value.condition == 3
+
+
+# The left-zero band {p, q} with an identity 1 and a zero 0 adjoined, as
+# elements 0..3 = 1, p, q, 0. It is not commutative: p*q = p but q*p = q.
+_LEFT_ZERO = validate_monoid(4, [[0, 1, 2, 3], [1, 1, 1, 3], [2, 2, 2, 3], [3, 3, 3, 3]], 0)
+_Z2, _Z3, _CH2, _CH3 = cyclic_group(2), cyclic_group(3), chain(2).base, chain(3).base
+
+
+# Each input is a valid factor system with one cell changed (the last drops a
+# row of chi), except condition 4's. For a commutative N, as when N is a
+# semilattice, condition 2 implies condition 4, so its input is over
+# _LEFT_ZERO: 1 ~ p at index 1, and right multiplication by q = act(1, 2)
+# separates them (1*q = q, p*q = p), while conditions 1-3 hold.
+@pytest.mark.parametrize("condition, h, n, sim, act, chi, message", [
+    (1, _Z2, _CH2, [[1, 1], [0, 0]], [[0, 1], [1, 1]], [[0, 0], [1, 1]],
+     "condition 1 fails at (0, 1)"),
+    (2, _Z2, _CH3, [[0, 1, 2], [2, 1, 2]], [[0, 1, 2]] * 2, [[0, 0]] * 2,
+     "condition 2 fails at (1, 0, 2, 1)"),
+    (3, _Z2, _CH3, [[0, 1, 2], [0, 0, 2]], [[0, 1, 2]] * 2, [[0, 0]] * 2,
+     "condition 3 fails at (1, 1, 0, 1)"),
+    (4, _Z2, _LEFT_ZERO, [[0, 1, 2, 3], [0, 0, 1, 2]], [[0, 1, 2, 3]] * 2, [[0, 0], [0, 3]],
+     "condition 4 fails at (1, 0, 1, 2)"),
+    (5, _Z2, _CH3, [[0, 1, 2], [0, 0, 1]], [[2, 1, 2], [1, 1, 2]], [[0, 0], [1, 1]],
+     "condition 5 fails at (0, 1, 0, 1)"),
+    (6, _Z2, _CH3, [[0, 1, 2]] * 2, [[2, 1, 2], [0, 1, 2]], [[0, 0]] * 2,
+     "condition 6 fails at (0, 0, 1)"),
+    (7, _Z2, _CH3, [[0, 1, 2]] * 2, [[1, 1, 2], [0, 1, 2]], [[0, 0]] * 2,
+     "condition 7 fails at (0, 1, 0)"),
+    (8, _Z2, _CH2, [[0, 1], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [1, 1]],
+     "condition 8 fails at (0,)"),
+    (9, _Z2, _CH2, [[0, 1], [0, 0]], [[0, 0], [1, 1]], [[0, 0], [1, 1]],
+     "condition 9 fails at (1,)"),
+    (10, _Z2, _CH2, [[0, 1], [0, 0]], [[0, 1], [1, 1]], [[1, 0], [1, 1]],
+     "condition 10 fails at ('left', 0)"),
+    (11, _Z3, _CH2, [[0, 1]] * 3, [[0, 1]] * 3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+     "condition 11 fails at (1, 1, 2)"),
+    ("shape", _Z2, _CH2, [[0, 1], [0, 0]], [[0, 1], [1, 1]], [[0, 0]],
+     "condition shape fails at chi"),
+], ids=["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "chi-shape"])
+def test_each_factor_system_condition_fails_on_its_input(condition, h, n, sim, act, chi,
+                                                        message):
+    with pytest.raises(ConditionViolation) as exc:
+        validate_factor_system(h, n, sim, act, chi)
+    assert exc.value.condition == condition
+    assert str(exc.value) == message
 
 
 def test_crossed_product_with_trivial_group():
@@ -350,7 +395,7 @@ def test_factor_system_from_extension_needs_a_weakly_schreier_section():
     m = validate_inverse(m7())
     ext = build_canonical_extension(m)
     for pick in (4, 5, 6):
-        s = make_monoid_map(ext.q.target, ext.q.source, [0, pick], kind="function")
+        s = MonoidMap(ext.q.target, ext.q.source, (0, pick))
         with pytest.raises(PreconditionFailed, match="weakly Schreier"):
             factor_system_from_extension(ext, WSSplitting(s=s, candidates=()))
 
@@ -408,7 +453,7 @@ def test_f_product_structure_invariants():
         semi, _ = idempotent_semilattice(fp.monoid)
         assert brute_force_iso(semi.base, aa.semilattice.base) is not None
         sigma = min_group_congruence(fp.monoid)
-        q, _ = quotient(fp.monoid.base, sigma)
+        q, _ = quotient(sigma)
         assert brute_force_iso(q, aa.group) is not None
 
 
@@ -422,7 +467,7 @@ def test_greatest_element_identities():
         res = is_f_inverse(m)
         assert res.holds
         sel, sigma = res.selector, m.sigma
-        q, _ = quotient(m.base, sigma)
+        q, _ = quotient(sigma)
         for g in range(q.n):
             for h in range(q.n):
                 gh = q.mul(g, h)

@@ -8,7 +8,6 @@ from conftest import (_monoid_tables_by_scan, _semilattices_by_scan,
                       _symmetric_inverse_monoid, identity_congruence,
                       universal_congruence)
 from imw.core import (
-    Congruence,
     _generators,
     backtrack,
     direct_product,
@@ -152,6 +151,16 @@ def test_length_error_states_the_expected_length(build, message):
     assert not isinstance(exc.value, IndexOutOfRange)
 
 
+@pytest.mark.parametrize("values, cls, message", [
+    ([0, 1, 5], IndexOutOfRange, "map value: entry 5 outside 0..1"),
+    ([1, 1, 0], NotHomomorphism, "map does not preserve the identity (0)"),
+])
+def test_make_monoid_map_rejects_a_bad_value(values, cls, message):
+    with pytest.raises(cls) as exc:
+        make_monoid_map(m3(), cyclic_group(2), values)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 3).flatmap(
     lambda n: st.tuples(st.just(n),
@@ -175,14 +184,14 @@ def test_validator_matches_oracle(case):
 
 def test_quotient_identity_congruence(corpus_monoids):
     for _, m in corpus_monoids:
-        q, qmap = quotient(m.base, identity_congruence(m.base))
+        q, qmap = quotient(identity_congruence(m.base))
         assert brute_force_iso(q, m.base) is not None
         assert qmap.values == tuple(range(m.n))
 
 
 def test_quotient_universal_congruence():
     m = m3()
-    q, _ = quotient(m, universal_congruence(m))
+    q, _ = quotient(universal_congruence(m))
     assert q.n == 1
 
 
@@ -190,7 +199,7 @@ def test_quotient_m3_by_sigma_is_z2():
     m = validate_inverse(m3())
     sigma = min_group_congruence(m)
     assert sigma.class_of == (0, 0, 1)
-    q, qmap = quotient(m.base, sigma)
+    q, qmap = quotient(sigma)
     assert brute_force_iso(q, cyclic_group(2)) is not None
     # The projection is a homomorphism by construction; recheck explicitly.
     for x in range(m.n):
@@ -199,18 +208,47 @@ def test_quotient_m3_by_sigma_is_z2():
 
 
 def test_quotient_rejects_incompatible_partition():
-    m = m3()
-    with pytest.raises(NotACongruence):
-        make_congruence(m, [0, 1, 0])  # merges 1 and t but separates e
+    # make_congruence is the one compatibility check quotient relies on:
+    # {1, t} is not a class, since e*1 = e and e*t = t fall in different
+    # classes.
+    with pytest.raises(NotACongruence) as exc:
+        make_congruence(m3(), [0, 1, 0])
+    assert exc.value.witness == ((1, 0), (1, 2))
+
+
+def _set_partitions(n):
+    """Every partition of range(n) as a restricted growth string."""
+    if n == 0:
+        yield ()
+        return
+    for head in _set_partitions(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield head + (c,)
 
 
 def test_quotient_checks_every_pair_of_representatives():
-    # Congruence built directly, bypassing make_congruence: {1, t} is not a
-    # class, since e*1 = e and e*t = t fall in different classes.
-    m = m3()
-    with pytest.raises(NotACongruence) as exc:
-        quotient(m, Congruence(monoid=m, class_of=(0, 1, 0), num_classes=2))
-    assert exc.value.witness == ((1, 0), (1, 2))
+    # Oracle: a partition is a congruence iff x ~ x' implies z*x ~ z*x' and
+    # x*z ~ x'*z for every z. make_congruence compares each pair only with
+    # its representatives' product; it must agree on every partition, and a
+    # rejection must name two pairs with equal classes but unequal products.
+    accepted = rejected = 0
+    for m in (m3(), m7(), brandt_b2_1(), klein_four(), chain(3).base):
+        t = m.table
+        for c in _set_partitions(m.n):
+            same = [(x, y) for x in range(m.n) for y in range(m.n)
+                    if c[x] == c[y]]
+            ok = all(c[t[z][x]] == c[t[z][y]] and c[t[x][z]] == c[t[y][z]]
+                     for x, y in same for z in range(m.n))
+            if ok:
+                assert make_congruence(m, c).class_of == c
+                accepted += 1
+                continue
+            with pytest.raises(NotACongruence) as exc:
+                make_congruence(m, c)
+            (a, b), (x, y) = exc.value.witness
+            assert c[a] == c[x] and c[b] == c[y] and c[t[a][b]] != c[t[x][y]]
+            rejected += 1
+    assert accepted and rejected
 
 
 def test_direct_product_trivial():
@@ -250,6 +288,12 @@ def test_generated_submonoid():
     assert sub.n == 2 and emb.values == (0, 1)
     assert brute_force_iso(sub, chain(2).base) is not None
     assert emb.is_injective()
+    # The closure grows: g generates Z4, and t generates e = t*t.
+    sub, emb = generated_submonoid(cyclic_group(4), [1])
+    assert sub.n == 4 and emb.values == (0, 1, 2, 3)
+    sub, emb = generated_submonoid(m, [2])
+    assert sub.n == 3 and emb.values == (0, 1, 2)
+    assert make_monoid_map(sub, m, emb.values) == emb  # built unchecked
 
 
 # Light's test decides associativity from a generating set; these tests hold

@@ -6,7 +6,7 @@ from imw.constructions import (
     gluing_map_from_clifford,
 )
 from imw.core import make_monoid_map, validate_monoid
-from imw.corpus import brandt_b2_1, chain, cyclic_group, m3, m7, sym3
+from imw.corpus import brandt_b2_1, chain, cyclic_group, enumerate_inverse_monoids, m3, m7, sym3
 from imw.errors import EmptyCandidateFiber, KernelMismatch, PreconditionFailed
 from imw.extension import (
     build_canonical_extension,
@@ -15,7 +15,7 @@ from imw.extension import (
     make_extension,
     weakly_schreier_iff_f_inverse,
 )
-from imw.inverse import is_clifford, validate_inverse
+from imw.inverse import validate_inverse
 from imw.iso import brute_force_iso
 
 
@@ -48,6 +48,20 @@ def test_make_extension_rejects_wrong_kernel():
     # The kernel of q is {0, 2} but the image of k is only {0}.
     with pytest.raises(KernelMismatch):
         make_extension(k, q)
+
+
+@pytest.mark.parametrize("k_values, q_values, message", [
+    ([0, 0], [0, 1], "precondition not met: kernel map must be injective"),
+    ([0, 1], [0, 0], "precondition not met: quotient map must be surjective"),
+])
+def test_make_extension_rejects_a_non_injective_k_or_a_non_surjective_q(
+        k_values, q_values, message):
+    z2 = cyclic_group(2)
+    k = make_monoid_map(z2, z2, k_values)
+    q = make_monoid_map(z2, z2, q_values)
+    with pytest.raises(PreconditionFailed) as exc:
+        make_extension(k, q)
+    assert str(exc.value) == message
 
 
 def test_make_extension_rejects_maps_that_do_not_compose():
@@ -151,14 +165,21 @@ def test_cosplit_retraction_identity(corpus_monoids):
 
 
 def test_cosplit_homomorphism_on_clifford(corpus_monoids):
-    for name, m in corpus_monoids:
-        if not is_clifford(m).holds:
+    # ell_is_homomorphism is the Clifford verdict; the direct scan of
+    # l(x*y) = l(x)*l(y) is its oracle on every monoid with a canonical
+    # extension.
+    cases = corpus_monoids + [(f"inverse-{m.n}-{i}", m)
+                              for i, m in enumerate(enumerate_inverse_monoids(5))]
+    direct = {}
+    for name, m in cases:
+        if not m.e_unitary.holds:
             continue
-        try:
-            cs = cosplit_retraction(m)
-        except KernelMismatch:
-            continue  # Clifford but not E-unitary (a zero merges everything)
-        assert cs.ell_is_homomorphism, name
+        cs = cosplit_retraction(m)
+        semi, v = cs.ell.target, cs.ell.values
+        direct[name] = v[m.id] == semi.id and all(
+            v[m.mul(x, y)] == semi.mul(v[x], v[y]) for x in range(m.n) for y in range(m.n))
+        assert cs.ell_is_homomorphism == direct[name], name
+    assert direct["m7"] is False and True in direct.values()
 
 
 def test_section_data_and_cosplit_read_the_cached_idempotent_index():

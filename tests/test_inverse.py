@@ -11,6 +11,7 @@ import imw.inverse
 from conftest import _symmetric_inverse_monoid
 from imw.constructions import clifford_reconstruction, factor_system_from_extension
 from imw.core import (
+    MonoidMap,
     direct_product,
     is_group,
     make_congruence,
@@ -222,9 +223,9 @@ def test_natural_order_on_symmetric_inverse_monoids_is_graph_inclusion():
 
 def test_sigma_examples():
     g = validate_inverse(sym3())
-    assert min_group_congruence(g).num_classes == 6
+    assert len(min_group_congruence(g).reps) == 6
     y = validate_inverse(chain(3).base)
-    assert min_group_congruence(y).num_classes == 1
+    assert len(min_group_congruence(y).reps) == 1
     m = validate_inverse(m3())
     assert min_group_congruence(m).class_of == (0, 0, 1)
 
@@ -257,9 +258,22 @@ def test_group_quotient_iff_x_inv_x_is_one(corpus_monoids):
             one = cong.class_of[m.id]
             by_inverses = all(cong.class_of[m.mul(x, m.inv[x])] == one
                               for x in range(m.n))
-            assert by_inverses == is_group(quotient(m.base, cong)[0])
+            q, qmap = quotient(cong)
+            assert by_inverses == is_group(q)
+            # The projection is built unchecked; the homomorphism check is the oracle.
+            assert make_monoid_map(m.base, q, qmap.values) == qmap
             checked += 1
     assert checked == 129
+
+
+def test_idempotent_semilattice_passes_the_checks_it_skips(corpus_monoids):
+    # E(M) and k are built unchecked: validate_inverse compared the pairs of
+    # idempotents, and k is tabulated from M's own product. The definitional
+    # checks stay here as oracles.
+    for m in [m for _, m in corpus_monoids] + list(enumerate_inverse_monoids(5)):
+        semi, k = m.semilattice
+        assert validate_semilattice(semi.base) == semi
+        assert make_monoid_map(semi.base, m.base, k.values) == k
 
 
 def _congruences_by_scan(m):
@@ -367,8 +381,9 @@ def derivation_calls(monkeypatch):
 
     def counter(name, original):
         def counting(m, *args):
-            if name != "quotient" or any(args[0] is s for s in sigmas):
-                calls[name].append(m.q.source if name == "is_weakly_schreier" else m)
+            if name != "quotient" or any(m is s for s in sigmas):
+                calls[name].append(m.q.source if name == "is_weakly_schreier"
+                                   else m.monoid if name == "quotient" else m)
             result = original(m, *args)
             if name == "min_group_congruence":
                 sigmas.append(result)
@@ -521,14 +536,14 @@ def _no_action_witness():
     one = trivial_monoid()
     ext = make_extension(make_monoid_map(rz, rz, [0, 1, 2]),
                          make_monoid_map(rz, one, [0, 0, 0]))
-    s = make_monoid_map(one, rz, [1], kind="function")
+    s = MonoidMap(one, rz, (1,))
     factor_system_from_extension(ext, WSSplitting(s=s, candidates=()))
 
 
 def _no_chi_witness():
     # Z2 over itself with the section swapped: s(0)*s(0) = 1*1 = 0, but k(n)*s(0) = 1.
     ext = build_canonical_extension(validate_inverse(cyclic_group(2)))
-    s = make_monoid_map(ext.q.target, ext.q.source, [1, 0], kind="function")
+    s = MonoidMap(ext.q.target, ext.q.source, (1, 0))
     factor_system_from_extension(ext, WSSplitting(s=s, candidates=()))
 
 
