@@ -7,7 +7,7 @@ but a precondition for ``extension`` and ``decompose``, which exit 2 on one.
 Every command takes ``--json``, and ``enumerate --kind almost-action`` and
 ``gluing-map`` require it; ``enumerate`` also takes ``--budget`` and ``iso``
 takes ``--max-iso-n``. A flag a command, or an ``enumerate --kind``,
-does not read is a usage error.
+does not read is a usage error, and so is a negative limit.
 """
 
 from __future__ import annotations
@@ -273,6 +273,17 @@ def cmd_suite(args) -> int:
     return EXIT_OK if result.all_passed else EXIT_PROPERTY_FALSE
 
 
+def _limit(text: str) -> int:
+    """argparse type of --max-n, --budget and --max-iso-n: an int, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imw", description="Finite inverse monoid workbench")
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for an isomorphism between two mtab files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-iso-n", type=int, default=DEFAULT_ISO_LIMIT,
+    p.add_argument("--max-iso-n", type=_limit, default=DEFAULT_ISO_LIMIT,
                    help="size cap for brute-force isomorphism search")
     p.set_defaults(func=cmd_iso)
 
@@ -315,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["semilattice", "inverse-monoid", "group",
                             "almost-action", "gluing-map"])
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_limit, default=None)
     p.add_argument("--force-bound", action="store_true", default=None,
                    help="lift the default enumeration size bound (can be slow)")
     p.add_argument("--group", default=None)
     p.add_argument("--semilattice", default=None)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_limit, default=None,
                    help="candidate rows the almost-action and gluing-map searches "
                         f"may try (default {DEFAULT_BUDGET})")
     p.set_defaults(func=cmd_enumerate)

@@ -17,7 +17,6 @@ from .errors import (
     AxiomViolation,
     ConditionViolation,
     IdentityNotTop,
-    IllDefinedMultiplication,
     InternalCharacterizationFailure,
     PreconditionFailed,
     ValidationError,
@@ -147,11 +146,7 @@ def validate_factor_system(h_part: FiniteMonoid, n_part: FiniteMonoid,
                 raise ConditionViolation("range", ("chi", v))
 
     hid, nid = h_part.id, n_part.id
-    nmul = n_part.mul
-    hmul = h_part.mul
-
-    def same(h: int, a: int, b: int) -> bool:
-        return sim_t[h][a] == sim_t[h][b]
+    nt, ht = n_part.table, h_part.table
 
     related = [[(a, b) for a in range(nn) for b in range(nn)
                 if a != b and sim_t[h][a] == sim_t[h][b]]
@@ -162,70 +157,77 @@ def validate_factor_system(h_part: FiniteMonoid, n_part: FiniteMonoid,
         raise ConditionViolation(1, (a, b))
     # 2: left multiplication preserves the relation.
     for h in range(hn):
+        sh = sim_t[h]
         for (a, b) in related[h]:
-            for x in range(nn):
-                if not same(h, nmul(x, a), nmul(x, b)):
+            for x, tx in enumerate(nt):
+                if sh[tx[a]] != sh[tx[b]]:
                     raise ConditionViolation(2, (h, a, b, x))
     # 3: right multiplication by chi moves h-related pairs to h1h2-related pairs.
     for h1 in range(hn):
         for (a, b) in related[h1]:
+            ta, tb = nt[a], nt[b]
             for h2 in range(hn):
-                c = chi_t[h1][h2]
-                if not same(hmul(h1, h2), nmul(a, c), nmul(b, c)):
+                c, s12 = chi_t[h1][h2], sim_t[ht[h1][h2]]
+                if s12[ta[c]] != s12[tb[c]]:
                     raise ConditionViolation(3, (h1, h2, a, b))
     # 4: right multiplication by an acted element preserves the relation.
     for h in range(hn):
+        sh = sim_t[h]
         for (a, b) in related[h]:
-            for x in range(nn):
-                hx = act_t[h][x]
-                if not same(h, nmul(a, hx), nmul(b, hx)):
+            ta, tb = nt[a], nt[b]
+            for x, hx in enumerate(act_t[h]):
+                if sh[ta[hx]] != sh[tb[hx]]:
                     raise ConditionViolation(4, (h, a, b, x))
     # 5: acting then multiplying by chi respects the inner relation.
     for h2 in range(hn):
         for (a, b) in related[h2]:
             for h1 in range(hn):
-                c = chi_t[h1][h2]
-                if not same(hmul(h1, h2),
-                            nmul(act_t[h1][a], c), nmul(act_t[h1][b], c)):
+                c, s12, a1 = chi_t[h1][h2], sim_t[ht[h1][h2]], act_t[h1]
+                if s12[nt[a1[a]][c]] != s12[nt[a1[b]][c]]:
                     raise ConditionViolation(5, (h1, h2, a, b))
     # 6: the action is multiplicative up to the relation.
     for h in range(hn):
+        sh, ah = sim_t[h], act_t[h]
         for a in range(nn):
+            ta, tha = nt[a], nt[ah[a]]
             for b in range(nn):
-                if not same(h, act_t[h][nmul(a, b)],
-                            nmul(act_t[h][a], act_t[h][b])):
+                if sh[ah[ta[b]]] != sh[tha[ah[b]]]:
                     raise ConditionViolation(6, (h, a, b))
     # 7: chi conjugates the composite action to the iterated action.
     for h1 in range(hn):
         for h2 in range(hn):
-            h12 = hmul(h1, h2)
+            h12 = ht[h1][h2]
             c = chi_t[h1][h2]
+            s12, a12, a1, a2, tc = sim_t[h12], act_t[h12], act_t[h1], act_t[h2], nt[c]
             for a in range(nn):
-                if not same(h12, nmul(c, act_t[h12][a]),
-                            nmul(act_t[h1][act_t[h2][a]], c)):
+                if s12[tc[a12[a]]] != s12[nt[a1[a2[a]]][c]]:
                     raise ConditionViolation(7, (h1, h2, a))
     # 8: the action nearly preserves the unit.
     for h in range(hn):
-        if not same(h, act_t[h][nid], nid):
+        if sim_t[h][act_t[h][nid]] != sim_t[h][nid]:
             raise ConditionViolation(8, (h,))
     # 9: the identity index nearly acts trivially.
+    s1, a1 = sim_t[hid], act_t[hid]
     for a in range(nn):
-        if not same(hid, act_t[hid][a], a):
+        if s1[a1[a]] != s1[a]:
             raise ConditionViolation(9, (a,))
     # 10: chi is normalized at the identity.
     for h in range(hn):
-        if not same(h, chi_t[hid][h], nid):
+        sh = sim_t[h]
+        if sh[chi_t[hid][h]] != sh[nid]:
             raise ConditionViolation(10, ("left", h))
-        if not same(h, chi_t[h][hid], nid):
+        if sh[chi_t[h][hid]] != sh[nid]:
             raise ConditionViolation(10, ("right", h))
     # 11: the cocycle identity up to the relation.
     for x in range(hn):
         for y in range(hn):
-            xy = hmul(x, y)
+            xy = ht[x][y]
+            cx, cxy, cy, ax = chi_t[x], chi_t[xy], chi_t[y], act_t[x]
             for z in range(hn):
-                lhs = nmul(chi_t[x][y], chi_t[xy][z])
-                rhs = nmul(act_t[x][chi_t[y][z]], chi_t[x][hmul(y, z)])
-                if not same(hmul(xy, z), lhs, rhs):
+                lhs = nt[cx[y]][cxy[z]]
+                rhs = nt[ax[cy[z]]][cx[ht[y][z]]]
+                s = sim_t[ht[xy][z]]
+                if s[lhs] != s[rhs]:
                     raise ConditionViolation(11, (x, y, z))
     return FactorSystem(h_part=h_part, n_part=n_part,
                         sim=sim_t, act=act_t, chi=chi_t)
@@ -245,37 +247,29 @@ def factor_system_from_almost_action(aa: AlmostAction) -> FactorSystem:
 def crossed_product(fs: FactorSystem) -> CrossedProduct:
     """Monoid on the disjoint union of the per-index quotients of N.
 
-    Multiplication goes through representatives; independence of the choice
-    is verified over every representative pair.
+    (h,[n])·(h',[n']) = (hh', [n·act(h,n')·chi(h,h')]), computed on the least
+    member of each class. For a validated factor system that choice does not
+    change the class: another left member gives an hh'-related product by
+    conditions 4 and 3, and another right member by conditions 5 and 2.
     """
-    hn, nn = fs.h_part.n, fs.n_part.n
-    nmul, hmul = fs.n_part.mul, fs.h_part.mul
-    members: dict[tuple[int, int], list[int]] = {}
-    for h in range(hn):
-        for n in range(nn):
-            members.setdefault((h, fs.sim[h][n]), []).append(n)
-    elements = list(members)
-
-    def product_class(h: int, n: int, h2: int, n2: int) -> tuple[int, int]:
-        h12 = hmul(h, h2)
-        val = nmul(nmul(n, fs.act[h][n2]), fs.chi[h][h2])
-        return (h12, fs.sim[h12][val])
+    nt, ht, sim, act, chi = fs.n_part.table, fs.h_part.table, fs.sim, fs.act, fs.chi
+    least: dict[tuple[int, int], int] = {}
+    for h, row in enumerate(sim):
+        for n, c in enumerate(row):
+            least.setdefault((h, c), n)
 
     def mul(e: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
         (h, _), (h2, _) = e, e2
-        reps, reps2 = members[e], members[e2]
-        out = product_class(h, reps[0], h2, reps2[0])
-        for a in reps:
-            for b in reps2:
-                if product_class(h, a, h2, b) != out:
-                    raise IllDefinedMultiplication(((h, a), (h2, b)))
-        return out
+        h12 = ht[h][h2]
+        n = nt[least[e]][act[h][least[e2]]]
+        return (h12, sim[h12][nt[n][chi[h][h2]]])
 
+    elements = list(least)
     monoid, index = tabulate(
-        elements, mul, (fs.h_part.id, fs.sim[fs.h_part.id][fs.n_part.id]),
-        lambda e: f"([{fs.n_part.label(members[e][0])}],{fs.h_part.label(e[0])})")
+        elements, mul, (fs.h_part.id, sim[fs.h_part.id][fs.n_part.id]),
+        lambda e: f"([{fs.n_part.label(least[e])}],{fs.h_part.label(e[0])})")
     return CrossedProduct(monoid=monoid, elements=tuple(elements),
-                          reps=tuple(members[e][0] for e in elements), index=index)
+                          reps=tuple(least.values()), index=index)
 
 
 def iso_f_product_crossed(aa: AlmostAction) -> IsoWitness:

@@ -114,12 +114,6 @@ class IdentityNotTop(ValidationError):
         super().__init__(f"map must send the group identity to the top element, got {got}")
 
 
-class IllDefinedMultiplication(ImwError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"product depends on representatives: {witness}")
-
-
 class PreconditionFailed(ImwError):
     def __init__(self, requirement: str, witness=None):
         self.witness = witness

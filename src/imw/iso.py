@@ -42,19 +42,20 @@ def verify_iso(a: FiniteMonoid, b: FiniteMonoid,
 
 def element_profile(m: FiniteMonoid, x: int) -> tuple[bool, int, int, int]:
     """Cheap isomorphism invariant: (idempotent?, power index, power period, #generalized inverses)."""
+    t = m.table
     seen = {x: 1}
     p = x
     k = 1
     while True:
-        p = m.mul(p, x)
+        p = t[p][x]
         k += 1
         if p in seen:
             index, period = seen[p], k - seen[p]
             break
         seen[p] = k
-    geninv = sum(1 for y in range(m.n)
-                 if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y)
-    return (m.is_idempotent(x), index, period, geninv)
+    tx = t[x]
+    geninv = sum(1 for y, xy in enumerate(tx) if t[xy][x] == x and t[t[y][x]][y] == y)
+    return (tx[x] == x, index, period, geninv)
 
 
 def _search(a: FiniteMonoid, b: FiniteMonoid,

@@ -97,24 +97,31 @@ def parse_mtab_document(text: str) -> MtabDocument:
             raise MtabSyntaxError(f"bad labels: {exc}", lineno) from None
         if len(labels) != n:
             raise MtabSyntaxError(f"expected {n} labels, got {len(labels)}", lineno)
+    # A cell is almost always some v < n spelled str(v): read it from this
+    # dict, and any other token, or a wrong count, by the exact parse below.
+    # n rows of n cells take at least n * n characters, so a file too short for
+    # them gets no dict, which then never has more than √len(text) entries.
+    cell = {str(v): v for v in range(n)} if len(text) >= n * n else {}
     rows = []
     for i in range(n):
         lineno, body = need(f"table row {i}")
         toks = body.split()
+        if len(toks) == n:
+            try:
+                rows.append(tuple(map(cell.__getitem__, toks)))
+                continue
+            except KeyError:
+                pass
         if len(toks) != n:
             col = sum(len(t) + 1 for t in toks[:n]) + 1 if len(toks) > n else len(body) + 1
             raise MtabSyntaxError(f"row {i} has {len(toks)} entries, expected {n}",
                                   lineno, col)
-        if all(map(str.isdecimal, toks)):
-            try:
-                rows.append(tuple(map(int, toks)))
-                continue
-            except ValueError:  # a token too long for int(), named below
-                pass
-        col = 1  # some token is not a valid integer: _parse_int names the first
+        row = []
+        col = 1
         for tok in toks:
-            _parse_int(tok, lineno, col)
+            row.append(_parse_int(tok, lineno, col))
             col += len(tok) + 1
+        rows.append(tuple(row))
     inv: tuple[int, ...] | None = None
     if pos < len(lines) and lines[pos][1].startswith("inv="):
         lineno, body = need("inv")

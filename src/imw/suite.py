@@ -17,7 +17,6 @@ from .constructions import (
     iso_f_product_crossed,
 )
 from .core import (
-    FiniteMonoid,
     backtrack,
     first_occurrence_classes,
     is_group,
@@ -226,22 +225,24 @@ def criterion_5(ctx: SuiteContext) -> CriterionResult:
         passed=not failures, checked=checked, failures=failures)
 
 
-def all_congruences(m: FiniteMonoid):
-    """Every congruence of m, via restricted-growth partition enumeration."""
-    for classes in backtrack([range(x + 1) for x in range(m.n)],
-                             lambda a, x: a[x] <= max(a[:x], default=-1) + 1):
-        try:
-            yield make_congruence(m, classes)
-        except NotACongruence:
-            pass
-
-
 def sigma_by_exhaustion(m: InverseMonoid) -> tuple[tuple[int, ...], int]:
-    """Intersection of all group congruences, found by brute-force search."""
+    """Intersection of all group congruences, found by brute-force search.
+
+    Only the partitions that put every idempotent in one class are tried: the
+    class of an idempotent is an idempotent of the group M/θ, so it is [1].
+    """
     n = m.n
+    idem = m.base.idempotents()
+    first, rest = idem[0], frozenset(idem[1:])
     related = [[True] * n for _ in range(n)]
     found = 0
-    for cong in all_congruences(m.base):
+    for classes in backtrack([range(x + 1) for x in range(n)],
+                             lambda a, x: a[x] <= max(a[:x], default=-1) + 1
+                             and (x not in rest or a[x] == a[first])):
+        try:
+            cong = make_congruence(m.base, classes)
+        except NotACongruence:
+            continue
         q, _ = quotient(cong)
         if not is_group(q):
             continue

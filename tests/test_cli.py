@@ -188,6 +188,32 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path):
     assert "unrecognized arguments" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", "--kind", "semilattice", "--max-n", "-1", "--json"], "--max-n"),
+    (["enumerate", "--kind", "group", "--max-n", "-1", "--json"], "--max-n"),
+    (["enumerate", "--kind", "almost-action", "--group", "z2", "--semilattice", "ch2",
+      "--budget", "-3", "--json"], "--budget"),
+    (["iso", "F", "F", "--max-iso-n", "-5"], "--max-iso-n"),
+], ids=["semilattice-max-n", "group-max-n", "budget", "max-iso-n"])
+def test_a_negative_limit_is_a_usage_error(argv, flag, tmp_path):
+    path = tmp_path / "m3.mtab"
+    path.write_text(serialize_mtab(m3()), encoding="utf-8")
+    r = run_cli(*[str(path) if a == "F" else a for a in argv])
+    assert (r.returncode, r.stdout) == (2, "")
+    value = argv[argv.index(flag) + 1]
+    assert f"argument {flag}: must not be negative, got {value}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_a_limit_of_zero_is_read(files):
+    # argparse takes 0; the iso search then refuses a size over the cap.
+    r = run_cli("iso", files["m3"], files["m3"], "--max-iso-n", "0")
+    assert (r.returncode, r.stderr) == (2, "error: isomorphism search on 3 elements "
+                                           "exceeds limit 0\n")
+    r = run_cli("enumerate", "--kind", "semilattice", "--max-n", "0", "--json")
+    assert r.returncode == 0 and json.loads(r.stdout)["count"] == 0
+
+
 @pytest.mark.parametrize("kind, max_n, bound", [("semilattice", "9", 8),
                                                 ("inverse-monoid", "7", 6)])
 def test_enumerate_refuses_a_size_over_the_bound_before_searching(kind, max_n, bound,

@@ -36,7 +36,6 @@ from imw.errors import (
     AxiomViolation,
     ConditionViolation,
     IdentityNotTop,
-    IllDefinedMultiplication,
     PreconditionFailed,
 )
 from imw.extension import (
@@ -186,19 +185,77 @@ def test_crossed_product_of_trivial_action():
     assert brute_force_iso(xp.monoid, direct_product(y.base, g)) is not None
 
 
+class _IllDefined(Exception):
+    pass
+
+
+def _crossed_product_by_all_pairs(fs):
+    """Oracle: the elements and table of the crossed product, each product
+    computed on every pair of class members; raises _IllDefined with the
+    first pair ((h, a), (h2, b)) whose product class differs from that of
+    the least members, row-major over (element, element)."""
+    members = {}
+    for h, row in enumerate(fs.sim):
+        for n, c in enumerate(row):
+            members.setdefault((h, c), []).append(n)
+    elements = list(members)
+
+    def product_class(h, n, h2, n2):
+        h12 = fs.h_part.mul(h, h2)
+        val = fs.n_part.mul(fs.n_part.mul(n, fs.act[h][n2]), fs.chi[h][h2])
+        return (h12, fs.sim[h12][val])
+
+    def mul(e, e2):
+        (h, _), (h2, _) = e, e2
+        out = product_class(h, members[e][0], h2, members[e2][0])
+        for a in members[e]:
+            for b in members[e2]:
+                if product_class(h, a, h2, b) != out:
+                    raise _IllDefined(((h, a), (h2, b)))
+        return out
+
+    return elements, tuple(tuple(elements.index(mul(e, e2)) for e2 in elements)
+                           for e in elements)
+
+
 def test_crossed_product_rejects_broken_relation():
-    # Bypass validation: merging the two incomparable atoms of the diamond
-    # makes the product depend on the representative (a∧a = a, b∧a = 0).
+    # Merging the two incomparable atoms of the diamond makes the product
+    # depend on the representative (a∧a = a, b∧a = 0). crossed_product reads
+    # least members only, so validation refuses the system: the relation at
+    # the identity index must be equality (condition 1).
     y = diamond()
-    fs = FactorSystem(h_part=trivial_monoid(), n_part=y.base,
-                      sim=((0, 1, 1, 2),),
-                      act=((0, 1, 2, 3),),
-                      chi=((0,),))
-    with pytest.raises(IllDefinedMultiplication) as exc:
-        crossed_product(fs)
+    sim, act, chi = ((0, 1, 1, 2),), ((0, 1, 2, 3),), ((0,),)
+    with pytest.raises(ConditionViolation) as exc:
+        validate_factor_system(trivial_monoid(), y.base, sim, act, chi)
+    assert (exc.value.condition, exc.value.witness) == (1, (1, 2))
+    fs = FactorSystem(h_part=trivial_monoid(), n_part=y.base, sim=sim, act=act, chi=chi)
+    with pytest.raises(_IllDefined) as exc:
+        _crossed_product_by_all_pairs(fs)
     # Row-major over (element, element), the first representative pair that
     # disagrees: a∧a = a against a∧b = 0 in the class {a, b}.
-    assert exc.value.witness == ((0, 1), (0, 2))
+    assert exc.value.args[0] == ((0, 1), (0, 2))
+
+
+def test_crossed_product_matches_the_all_pairs_product(monkeypatch):
+    # Every factor system that one suite run builds: 135 in criterion 3 and
+    # 281 in criterion 7.
+    import imw.constructions
+    from imw.suite import build_context, criterion_3, criterion_7
+    built = []
+
+    def recording_crossed_product(fs):
+        built.append((fs, crossed_product(fs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(imw.constructions, "crossed_product", recording_crossed_product)
+    ctx = build_context()
+    assert criterion_3(ctx).passed and len(built) == 135
+    assert criterion_7(ctx).passed and len(built) == 135 + 281
+    for fs, xp in built:
+        elements, table = _crossed_product_by_all_pairs(fs)
+        assert list(xp.elements) == elements and xp.monoid.table == table
+        assert list(xp.reps) == [min(n for n, c in enumerate(fs.sim[h]) if c == cls)
+                                 for h, cls in elements]
 
 
 def test_pair_and_crossed_products_carry_the_index_tabulate_built(monkeypatch):

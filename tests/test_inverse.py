@@ -8,10 +8,12 @@ import pytest
 
 import imw.extension
 import imw.inverse
+import imw.suite
 from conftest import _symmetric_inverse_monoid
 from imw.constructions import clifford_reconstruction, factor_system_from_extension
 from imw.core import (
     MonoidMap,
+    backtrack,
     direct_product,
     is_group,
     make_congruence,
@@ -53,7 +55,6 @@ from imw.inverse import (
 from imw.iso import verify_iso
 from imw.report import analyze
 from imw.suite import (
-    all_congruences,
     build_context,
     criterion_1,
     criterion_2,
@@ -237,6 +238,45 @@ def test_sigma_matches_exhaustive_oracle(corpus_monoids):
         oracle, found = sigma_by_exhaustion(m)
         assert found >= 1, name
         assert min_group_congruence(m).class_of == oracle, name
+
+
+def all_congruences(m):
+    """Oracle: every congruence of m, via restricted-growth partition enumeration."""
+    for classes in backtrack([range(x + 1) for x in range(m.n)],
+                             lambda a, x: a[x] <= max(a[:x], default=-1) + 1):
+        try:
+            yield make_congruence(m, classes)
+        except NotACongruence:
+            pass
+
+
+@pytest.mark.parametrize("source", ["enumerated", "corpus"])
+def test_sigma_search_finds_every_group_congruence_in_order(source, corpus_monoids,
+                                                            monkeypatch):
+    # The σ oracle tries only the partitions with every idempotent in the
+    # class of 1. The group congruences among them must be those of the full
+    # congruence enumeration, in its order; the totals were counted with the
+    # search over every partition.
+    if source == "enumerated":
+        cases, count = list(enumerate_inverse_monoids(5)), 73
+    else:
+        cases, count = [m for _, m in corpus_monoids if m.n <= 6], 23
+    tried = []
+
+    def recording_quotient(theta):
+        tried.append(theta)
+        return quotient(theta)
+
+    monkeypatch.setattr(imw.suite, "quotient", recording_quotient)
+    total = 0
+    for m in cases:
+        tried.clear()
+        _, found = sigma_by_exhaustion(m)
+        got = [c.class_of for c in tried if is_group(quotient(c)[0])]
+        want = [c.class_of for c in all_congruences(m.base) if is_group(quotient(c)[0])]
+        assert got == want and found == len(want), m.base.table
+        total += found
+    assert total == count
 
 
 def test_sigma_refuses_a_quotient_that_is_not_a_group(monkeypatch):

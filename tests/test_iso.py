@@ -179,6 +179,31 @@ def test_least_relabelled_table_decides_isomorphism_on_the_candidates():
         == _partition(_least_relabelled_table, semilattices)
 
 
+def _element_profile_by_mul(m, x):
+    """Oracle: element_profile written with m.mul, one call per product."""
+    seen = {x: 1}
+    p = x
+    k = 1
+    while True:
+        p = m.mul(p, x)
+        k += 1
+        if p in seen:
+            index, period = seen[p], k - seen[p]
+            break
+        seen[p] = k
+    geninv = sum(1 for y in range(m.n)
+                 if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y)
+    return (m.is_idempotent(x), index, period, geninv)
+
+
+def test_element_profile_matches_its_definition(corpus_monoids):
+    cases = [m.base for _, m in corpus_monoids] + \
+        [m.base for m in enumerate_inverse_monoids(5)]
+    for m in cases:
+        for x in range(m.n):
+            assert element_profile(m, x) == _element_profile_by_mul(m, x), (m.table, x)
+
+
 def _iso_by_recursion(a, b):
     """Oracle: the forward map of brute_force_iso's search written as a
     recursion, one stack frame per element, or None."""

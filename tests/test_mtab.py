@@ -66,6 +66,48 @@ def test_bad_token_mid_row_is_named_by_line_and_column(row, column, message):
     assert str(exc.value) == f"line 5, column {column}: {message}"
 
 
+@pytest.mark.parametrize("row,cells", [
+    ("1 007", (1, 7)),
+    ("1 5", (1, 5)),
+    ("1 \u0663", (1, 3)),  # ARABIC-INDIC DIGIT THREE
+    ("\u0661 1", (1, 1)),
+], ids=["leading-zeros", "value-over-n", "non-ascii-digit", "non-ascii-first"])
+def test_cells_off_the_canonical_spelling_parse_exactly(row, cells):
+    # Row cells are read through a dict of the spellings str(v), v < n;
+    # every other token goes to the exact parse, which accepts these.
+    doc = parse_mtab_document(f"mtab v1\nn=2\nid=0\n0 1\n{row}\n")
+    assert doc.rows == ((0, 1), cells)
+
+
+def _parse_peak(text):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(MtabSyntaxError) as exc:
+            parse_mtab_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(exc.value), peak
+
+
+@pytest.mark.parametrize("n,lines", [(1_000_000, 1), (100_000, 100_000)],
+                         ids=["one-line", "n-lines"])
+def test_a_huge_n_fails_at_row_0_without_a_cell_dict(n, lines):
+    # n rows of n cells need at least n * n characters; a shorter file gets
+    # no dict of the n spellings (about 100 bytes each), whatever its line
+    # count. The bound is set by the same lines under n=1, which parse row 0
+    # with a one-entry dict and then fail on the second line.
+    body = "0\n" * lines
+    message, peak = _parse_peak(f"mtab v1\nn={n}\nid=0\n{body}")
+    assert message == f"line 4, column 2: row 0 has 1 entries, expected {n}"
+    if lines > 1:
+        _, lines_peak = _parse_peak(f"mtab v1\nn=1\nid=0\n{body}")
+    else:
+        lines_peak = 0
+    assert peak < 1.25 * lines_peak + 1_000_000
+
+
 def test_header_required():
     with pytest.raises(MtabSyntaxError):
         parse_mtab("n=1\nid=0\n0\n")
