@@ -17,7 +17,6 @@ from .errors import (
     AxiomViolation,
     ConditionViolation,
     IdentityNotTop,
-    InternalCharacterizationFailure,
     PreconditionFailed,
     ValidationError,
 )
@@ -315,23 +314,13 @@ def validate_gluing_map(group: FiniteMonoid, semilattice: SemilatticeMonoid,
 def gluing(gm: GluingMap) -> PairMonoid:
     """Gl(f) = F(Y,G) of the meet action g*y = f(g) ∧ y.
 
-    Its pairs (y,g) with y below f(g) multiply coordinatewise. The result is
-    re-checked to be Clifford and F-inverse, and the canonical section of its
-    quotient must pick exactly the pairs (f(g), g).
+    Its pairs (y,g) with y below f(g) multiply coordinatewise. That Gl(f) is
+    F-inverse Clifford with section g ↦ (f(g), g) is the theorem the suite
+    checks, not this builder.
     """
     semi = gm.semilattice
-    gl = f_product(validate_almost_action(
+    return f_product(validate_almost_action(
         gm.group, semi, [[semi.meet(fg, y) for y in range(semi.n)] for fg in gm.f]))
-    if not gl.monoid.clifford.holds:
-        raise InternalCharacterizationFailure("gluing produced a non-Clifford monoid")
-    wsf = gl.monoid.weakly_schreier
-    if not wsf.holds:
-        raise InternalCharacterizationFailure("gluing produced a non-F-inverse monoid")
-    # The report already demands that the section equals the selector.
-    if wsf.splitting.s.values != tuple(gl.index[(fg, g)] for g, fg in enumerate(gm.f)):
-        raise InternalCharacterizationFailure(
-            "canonical section of the gluing is not g -> (f(g), g)")
-    return gl
 
 
 def _require_f_inverse(m: InverseMonoid) -> None:
@@ -356,12 +345,6 @@ def gluing_map_from_clifford(m: InverseMonoid) -> GluingMap:
         raise PreconditionFailed("monoid must be Clifford", m.clifford.witness)
     _require_f_inverse(m)
     pos, sel, h = m.idempotent_index, m.f_inverse.selector, m.group_image[0]
-    # The greatest elements must be closed under inversion: c⁻¹ = q(inv(s(c))).
-    for c in range(h.n):
-        cinv = m.sigma.class_of[m.inv[sel[c]]]
-        if m.inv[sel[c]] != sel[cinv]:
-            raise InternalCharacterizationFailure(
-                f"inv(s({c})) is not the greatest element of class {cinv}")
     f = [pos[m.mul(sel[c], m.inv[sel[c]])] for c in range(h.n)]
     return validate_gluing_map(h, m.semilattice[0], f)
 
@@ -384,17 +367,8 @@ def almost_action_from_f_inverse(m: InverseMonoid) -> tuple[AlmostAction, IsoWit
     _require_f_inverse(m)
     pos, sel = m.idempotent_index, m.f_inverse.selector
     (semi, k), (h, _) = m.semilattice, m.group_image
-    dot = []
-    for g in range(h.n):
-        s_g = sel[g]
-        row = []
-        for y in k.values:
-            conj = m.mul(m.mul(s_g, y), m.inv[s_g])
-            if conj not in pos:
-                raise InternalCharacterizationFailure(
-                    f"conjugate of idempotent {y} is not idempotent")
-            row.append(pos[conj])
-        dot.append(row)
+    # s·y·s⁻¹ is idempotent for every idempotent y and every s.
+    dot = [[pos[m.mul(m.mul(s_g, y), m.inv[s_g])] for y in k.values] for s_g in sel]
     aa = validate_almost_action(h, semi, dot)
     return aa, _certify_pairs(m, aa.f_product)
 

@@ -256,13 +256,15 @@ def quotient(theta: Congruence) -> tuple[FiniteMonoid, MonoidMap]:
     """Quotient monoid on the classes of ``theta`` plus the projection map.
 
     ``make_congruence`` has checked compatibility, so class c is its least
-    member reps[c], multiplied through the representatives, and the
-    projection x -> class_of[x] is a homomorphism.
+    member reps[c], multiplied through the representatives; the quotient of a
+    monoid by a congruence is a monoid with identity [1], and the projection
+    x -> class_of[x] is a homomorphism.
     """
     m, cls, reps = theta.monoid, theta.class_of, theta.reps
     t = m.table
-    q, _ = tabulate(reps, lambda x, y: reps[cls[t[x][y]]], reps[cls[m.id]],
-                    lambda x: f"[{m.label(x)}]")
+    q = FiniteMonoid(n=len(reps), id=cls[m.id],
+                     table=tuple(tuple(cls[t[c][d]] for d in reps) for c in reps),
+                     labels=tuple(f"[{m.label(c)}]" for c in reps))
     return q, MonoidMap(m, q, cls)
 
 

@@ -18,7 +18,6 @@ from .core import (
     MonoidMap,
     make_congruence,
     quotient,
-    tabulate,
 )
 from .errors import (
     InternalCharacterizationFailure,
@@ -160,15 +159,14 @@ def validate_semilattice(m: FiniteMonoid) -> SemilatticeMonoid:
 
 def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidMap]:
     """E(M) as a monoid in its own right, with the inclusion into M."""
+    # validate_inverse found the idempotents commuting, so E(M) is closed
+    # (e·f·e·f = e·e·f·f = e·f) and a semilattice.
     idem = m.base.idempotents()
-    iset = set(idem)
-    for e in idem:
-        for f in idem:
-            if m.mul(e, f) not in iset:
-                raise InternalCharacterizationFailure(
-                    f"idempotents not closed under product at ({e},{f})")
-    # validate_inverse found the idempotents commuting, so E(M) is a semilattice.
-    sub, _ = tabulate(idem, m.mul, m.id, m.label)
+    pos = {e: i for i, e in enumerate(idem)}
+    t = m.base.table
+    sub = FiniteMonoid(n=len(idem), id=pos[m.id],
+                       table=tuple(tuple(pos[t[e][f]] for f in idem) for e in idem),
+                       labels=tuple(m.label(e) for e in idem))
     return SemilatticeMonoid(sub), MonoidMap(sub, m.base, tuple(idem))
 
 

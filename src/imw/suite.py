@@ -184,14 +184,17 @@ def criterion_3(ctx: SuiteContext) -> CriterionResult:
 
 
 def criterion_4(ctx: SuiteContext) -> CriterionResult:
-    """Every grid gluing is F-inverse Clifford, reproduces its map pointwise,
-    and reconstructs to an isomorphic copy. ``gluing`` checked Clifford,
-    F-inverse and the section when ``build_context`` built each Gl(f)."""
+    """Every grid gluing is F-inverse Clifford, reproduces its map pointwise
+    (G, Y and f), and reconstructs to an isomorphic copy. The recovery refuses
+    a Gl(f) that is not Clifford or not F-inverse, and f comes back only if
+    the greatest element of class g is (f(g), g), the section criterion 2
+    demands."""
     failures = []
     for name, gm, gl in ctx.gluing_maps:
         try:
             back, w = clifford_reconstruction(gl.monoid)
-            if back.f != gm.f or back.group.table != gm.group.table:
+            if back.f != gm.f or back.group.table != gm.group.table \
+                    or back.semilattice.base.table != gm.semilattice.base.table:
                 failures.append({"instance": name, "error": "recovered map differs",
                                  "f": list(gm.f), "recovered": list(back.f)})
                 continue

@@ -10,10 +10,11 @@ import pytest
 import imw.constructions
 import imw.extension
 import imw.suite
-from imw.constructions import gluing
-from imw.corpus import m3, z2_ch2_action, z2_ch2_gluing
+from imw.constructions import PairMonoid, gluing, validate_gluing_map
+from imw.core import validate_monoid
+from imw.corpus import chain, cyclic_group, m3, m7, z2_ch2_action, z2_ch2_gluing
 from imw.errors import EmptyCandidateFiber
-from imw.inverse import validate_inverse
+from imw.inverse import validate_inverse, validate_semilattice
 from imw.suite import (
     SuiteContext,
     build_context,
@@ -140,6 +141,29 @@ def test_criteria_3_and_4_build_each_construction_once(build_calls):
     # Once to rebuild Gl(f) from the recovered map, whose F(Y,G) it is.
     assert build_calls == {"f_product": 1, "factor_system_from_almost_action": 0,
                            "crossed_product": 0, "gluing": 1}
+
+
+def test_criterion_4_records_what_gluing_does_not_check():
+    # gluing does not check its theorem, so a bad Gl(f) shows in criterion 4
+    # as a failure, not an exception: m7 is not Clifford, and a Gl(f) over
+    # ch3 given with a map over ch3 with its two lower elements swapped
+    # differs from its recovered map in Y alone.
+    z2, ch3 = cyclic_group(2), chain(3)
+    swapped = validate_semilattice(validate_monoid(
+        3, [[0, 1, 2], [1, 1, 1], [2, 1, 2]], 0, ch3.base.labels))
+    gl = gluing(validate_gluing_map(z2, ch3, [0, 0]))
+    m7_gl = PairMonoid(monoid=validate_inverse(m7()), pairs=(), index={})
+    ctx = SuiteContext(monoids=[], actions=[], gluing_maps=[
+        ("ch3", validate_gluing_map(z2, ch3, [0, 0]), gl),
+        ("swapped", validate_gluing_map(z2, swapped, [0, 0]), gl),
+        ("m7", z2_ch2_gluing(), m7_gl)])
+    res = criterion_4(ctx)
+    assert (res.passed, res.checked) == (False, 3)
+    assert res.failures == [
+        {"instance": "swapped", "error": "recovered map differs",
+         "f": [0, 0], "recovered": [0, 0]},
+        {"instance": "m7",
+         "error": "precondition not met: monoid must be Clifford (witness (1, 4))"}]
 
 
 def _no_iso(*args, **kwargs):

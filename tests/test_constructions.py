@@ -356,6 +356,11 @@ def test_gluing_matches_its_definition():
                 t = gl.monoid.base
                 assert (gl.pairs, t.table, t.id, t.labels, gl.monoid.inv) == \
                     _gluing_by_definition(gm), (g.n, y.n, gm.f)
+                # The theorem gluing does not check: Gl(f) is F-inverse
+                # Clifford, and its canonical section is g -> (f(g), g).
+                assert gl.monoid.clifford.holds and gl.monoid.f_inverse.holds
+                assert gl.monoid.weakly_schreier.splitting.s.values == \
+                    tuple(gl.index[(fg, g)] for g, fg in enumerate(gm.f))
                 count += 1
     assert count == 273  # 86 of them over the non-abelian S3
 
@@ -494,6 +499,26 @@ def test_extraction_witnesses_are_the_theorem_maps(corpus_monoids):
                     if fs.sim[h][n] == c} == {img}
         assert [xp.elements[v][0] for v in w.backward.values] == list(ext.q.values)
         assert brute_force_iso(w.a, w.b, max_n=m.n) is not None
+
+
+def test_greatest_elements_are_closed_under_inversion(corpus_monoids):
+    # Inversion is an order automorphism, so inv(s(c)) = s(c⁻¹) in every
+    # F-inverse monoid; gluing_map_from_clifford relies on it unchecked.
+    for m in _extraction_cases(corpus_monoids):
+        sel, h = m.f_inverse.selector, m.group_image[0]
+        for c in range(h.n):
+            c_inv = next(d for d in range(h.n) if h.mul(c, d) == h.id)
+            assert m.inv[sel[c]] == sel[c_inv]
+
+
+def test_conjugates_of_idempotents_are_idempotent(corpus_monoids):
+    # x·y·x⁻¹ is idempotent for every idempotent y: the fact that lets
+    # almost_action_from_f_inverse index each conjugate in E(M).
+    for m in _extraction_cases(corpus_monoids):
+        idem = m.base.idempotents()
+        for x in range(m.n):
+            assert all(m.base.is_idempotent(m.mul(m.mul(x, y), m.inv[x]))
+                       for y in idem)
 
 
 def grid_actions():
