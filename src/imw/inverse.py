@@ -216,21 +216,27 @@ def is_e_unitary(m: InverseMonoid) -> Verdict:
 def is_f_inverse(m: InverseMonoid) -> FInverseResult:
     """Every sigma class must contain a greatest element under the natural order.
 
-    For a finite class this is the same as having a unique maximal element;
-    on failure the offending class and its incomparable maximals are returned.
+    One pass moves the candidate up to each member above it, so it ends on
+    the greatest element if the class has one. Only a class without one gets
+    its maximals: for a finite class a unique maximal is the greatest
+    element, so the offending class and its incomparable maximals are
+    returned.
     """
     leq = m.leq
     selector = []
     for c, members in enumerate(m.sigma.classes()):
-        maximals = [x for x in members
-                    if not any(leq(x, y) for y in members if y != x)]
-        if len(maximals) != 1:
-            return FInverseResult(holds=False, witness_class=c,
-                                  witness_maximals=tuple(maximals))
-        top = maximals[0]
+        top = members[0]
+        for x in members:
+            if leq(top, x):
+                top = x
         if not all(leq(y, top) for y in members):
+            maximals = [x for x in members
+                        if not any(leq(x, y) for y in members if y != x)]
+            if len(maximals) != 1:
+                return FInverseResult(holds=False, witness_class=c,
+                                      witness_maximals=tuple(maximals))
             raise InternalCharacterizationFailure(
-                f"natural order failed unique maximal is not greatest: {(c, top)}")
+                f"natural order failed unique maximal is not greatest: {(c, maximals[0])}")
         selector.append(top)
     return FInverseResult(holds=True, selector=tuple(selector))
 

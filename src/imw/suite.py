@@ -102,6 +102,11 @@ def build_context() -> SuiteContext:
                 actions.append((f"aa({gname},{yname})#{i}", aa))
             for i, gm in enumerate(enumerate_gluing_maps(g, y)):
                 gluing_maps.append((f"gl({gname},{yname})#{i}", gm, gluing(gm)))
+    # Gl(f) is the F(Y,G) of the meet action, so each grid Gl(f) takes the
+    # object of its equal F(Y,G) and shares everything derived from it.
+    twins = {aa.f_product.monoid.base: aa.f_product for _, aa in actions}
+    gluing_maps = [(name, gm, twins.get(gl.monoid.base, gl))
+                   for name, gm, gl in gluing_maps]
     for name, aa in actions:
         monoids.append((f"F[{name}]", aa.f_product.monoid))
     for name, _, gl in gluing_maps:
@@ -261,12 +266,15 @@ def criterion_6(ctx: SuiteContext) -> CriterionResult:
     """Sigma is minimal: it equals the intersection of all group congruences."""
     failures = []
     checked = 0
+    oracles = {}  # id(m) -> sigma_by_exhaustion(m), once per distinct monoid
     for name, m in ctx.monoids:
         if m.n > 6:
             continue
         checked += 1
         sigma = m.sigma
-        oracle, found = sigma_by_exhaustion(m)
+        if id(m) not in oracles:
+            oracles[id(m)] = sigma_by_exhaustion(m)
+        oracle, found = oracles[id(m)]
         if sigma.class_of != oracle:
             failures.append({"instance": name, "sigma": list(sigma.class_of),
                              "oracle": list(oracle), "group_congruences": found})
@@ -275,27 +283,40 @@ def criterion_6(ctx: SuiteContext) -> CriterionResult:
         passed=not failures, checked=checked, failures=failures)
 
 
+def _rebuild_outcome(m: InverseMonoid) -> tuple[bool, str | None]:
+    """Whether criterion 7 checks E-unitary m, and the error it finds, if any."""
+    checked = False
+    try:
+        wsf = m.weakly_schreier
+        if not wsf.holds:
+            return False, None
+        checked = True
+        _, w = factor_system_from_extension(wsf.extension, wsf.splitting)
+        if brute_force_iso(w.a, w.b, max_n=SUITE_ISO_LIMIT) is None:
+            return True, "brute force found no iso"
+    except SizeLimitExceeded:
+        raise
+    except ImwError as exc:
+        return checked, str(exc)
+    return True, None
+
+
 def criterion_7(ctx: SuiteContext) -> CriterionResult:
     """Factor systems extracted from weakly Schreier canonical extensions
     rebuild the middle object: the certified isomorphism of the extraction,
     cross-checked by brute force."""
     failures = []
     checked = 0
+    outcomes = {}  # id(m) -> _rebuild_outcome(m), once per distinct monoid
     for name, m in ctx.monoids:
         if not m.e_unitary.holds:
             continue
-        try:
-            wsf = m.weakly_schreier
-            if not wsf.holds:
-                continue
-            checked += 1
-            _, w = factor_system_from_extension(wsf.extension, wsf.splitting)
-            if brute_force_iso(w.a, w.b, max_n=SUITE_ISO_LIMIT) is None:
-                failures.append({"instance": name, "error": "brute force found no iso"})
-        except SizeLimitExceeded:
-            raise
-        except ImwError as exc:
-            failures.append({"instance": name, "error": str(exc)})
+        if id(m) not in outcomes:
+            outcomes[id(m)] = _rebuild_outcome(m)
+        counted, error = outcomes[id(m)]
+        checked += counted
+        if error is not None:
+            failures.append({"instance": name, "error": error})
     return CriterionResult(
         7, "extracted factor systems rebuild the middle object",
         passed=not failures, checked=checked, failures=failures)

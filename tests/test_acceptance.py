@@ -4,6 +4,7 @@ zero failures allowed) and prints one pass/fail line."""
 import hashlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -177,6 +178,42 @@ def test_criterion_7_runs_the_crossed_product_check(monkeypatch):
     res = criterion_7(ctx)
     assert not res.passed and res.checked == 1
     assert [f["error"] for f in res.failures] == ["brute force found no iso"]
+
+
+def test_each_distinct_suite_monoid_is_one_object(monkeypatch):
+    # Gl(f) is the F(Y,G) of the meet action, so each grid Gl(f) is built and
+    # then replaced by the object of its equal F(Y,G); criteria 6 and 7 run
+    # their oracles once per object and still report every name.
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in ("gluing", "sigma_by_exhaustion", "factor_system_from_extension",
+               "brute_force_iso"):
+        monkeypatch.setattr(imw.suite, fn, counting(getattr(imw.suite, fn)))
+    ctx = build_context()
+    assert calls["gluing"] == len(ctx.gluing_maps) == 122
+    objects = list({id(m): m for _, m in ctx.monoids}.values())
+    assert (len(ctx.monoids), len(objects), len(set(objects))) == (288, 166, 166)
+    twins = {m.base: m for name, m in ctx.monoids if name.startswith("F[")}
+    glued = [(name, m) for name, m in ctx.monoids if name.startswith("Gl[")]
+    assert len(glued) == 122 and all(m is twins[m.base] for _, m in glued)
+    assert all(gl.monoid is twins[gl.monoid.base] for _, _, gl in ctx.gluing_maps)
+
+    assert criterion_6(ctx).checked == 84 and calls["sigma_by_exhaustion"] == 57
+    res = criterion_7(ctx)
+    assert (res.passed, res.checked) == (True, 281)
+    assert calls["factor_system_from_extension"] == calls["brute_force_iso"] == 159
+    monkeypatch.setattr(imw.suite, "brute_force_iso", _no_iso)
+    res = criterion_7(ctx)
+    assert res.checked == len(res.failures) == 281
+    assert res.failures == [
+        {"instance": name, "error": "brute force found no iso"}
+        for name, m in ctx.monoids if m.e_unitary.holds and m.weakly_schreier.holds]
 
 
 def _no_section(ext):

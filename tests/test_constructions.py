@@ -237,8 +237,10 @@ def test_crossed_product_rejects_broken_relation():
 
 
 def test_crossed_product_matches_the_all_pairs_product(monkeypatch):
-    # Every factor system that one suite run builds: 135 in criterion 3 and
-    # 281 in criterion 7.
+    # Every factor system that one suite run checks: 135 in criterion 3 and
+    # 281 in criterion 7. Criterion 7 builds 159 of the 281, one per distinct
+    # monoid, since each Gl(f) shares the object of its F(Y,G); so the 281 are
+    # extracted here from the monoids it checks, and equal the 159 as a set.
     import imw.constructions
     from imw.suite import build_context, criterion_3, criterion_7
     built = []
@@ -250,7 +252,14 @@ def test_crossed_product_matches_the_all_pairs_product(monkeypatch):
     monkeypatch.setattr(imw.constructions, "crossed_product", recording_crossed_product)
     ctx = build_context()
     assert criterion_3(ctx).passed and len(built) == 135
-    assert criterion_7(ctx).passed and len(built) == 135 + 281
+    assert criterion_7(ctx).passed and len(built) == 135 + 159
+    in_criterion_7 = built[135:]
+    del built[135:]
+    for _, m in ctx.monoids:
+        if m.e_unitary.holds and m.weakly_schreier.holds:
+            wsf = m.weakly_schreier
+            factor_system_from_extension(wsf.extension, wsf.splitting)
+    assert len(built) == 135 + 281 and set(built[135:]) == set(in_criterion_7)
     for fs, xp in built:
         elements, table = _crossed_product_by_all_pairs(fs)
         assert list(xp.elements) == elements and xp.monoid.table == table
@@ -463,18 +472,25 @@ def test_factor_system_from_extension_needs_a_weakly_schreier_section():
 
 
 def _extraction_cases(corpus_monoids):
-    """The F-inverse corpus, the F-inverse monoids of order at most 5, and the
-    gluings over z2 x diamond and z4 x ch3."""
+    """The F-inverse corpus, the F-inverse monoids of order at most 5, the
+    gluings over z2 x diamond and z4 x ch3, and the F(Y,G) of every almost
+    action of z2 and of the Klein group over the diamond, as criterion 7 sees
+    them."""
     cases = [m for _, m in corpus_monoids]
     cases += list(enumerate_inverse_monoids(5))
     for g, y in ((cyclic_group(2), diamond()), (cyclic_group(4), chain(3))):
         cases += [gluing(gm).monoid for gm in enumerate_gluing_maps(g, y)]
+    for g in (cyclic_group(2), klein_four()):
+        cases += [aa.f_product.monoid for aa in enumerate_almost_actions(g, diamond())]
     return [m for m in cases if m.f_inverse.holds]
 
 
 def test_extraction_witnesses_are_the_theorem_maps(corpus_monoids):
     cases = _extraction_cases(corpus_monoids)
-    assert len(cases) == 11 + 25 + 4 + 6
+    # Seven of the F(Y,G), one over z2 and six over the Klein group, are not
+    # Clifford: their actions are not meet actions.
+    assert len(cases) == 11 + 25 + 4 + 6 + 5 + 31
+    assert sum(not m.clifford.holds for m in cases) == 1 + 6
     for m in cases:
         sigma, sel = m.sigma, m.f_inverse.selector
         _, emb = idempotent_semilattice(m)

@@ -8,10 +8,12 @@ were recorded before the canonical table refined colours, the one of the
 semilattices to n = 7 before they were grown by adding an atom, the one of the
 semilattices to n = 8 before their least strict order was found by
 refinement, and the one of the inverse monoids to n = 6 before their search
-kept only the least table of each class. Any change to the bytes of ``check --json`` (via
-``emit_report``), or to the exit code and stdout of ``extension --json``,
-``decompose --json``, ``construct gluing --json`` or the five pinned
-``enumerate --json`` runs, shows up here.
+kept only the least table of each class; the human-format ``suite`` digest was
+recorded before each grid Gl(f) shared the object of its equal F(Y,G). Any
+change to the bytes of ``check --json`` (via ``emit_report``), or to the exit
+code and stdout of ``extension --json``, ``decompose --json``, ``construct
+gluing --json``, the five pinned ``enumerate --json`` runs or the human-format
+``suite`` run, shows up here.
 """
 
 import contextlib
@@ -308,3 +310,14 @@ def test_enumerate_inverse_monoids_to_six_bytes_unchanged():
     code, out = _cli_run(["enumerate", "--kind", "inverse-monoid", "--max-n", "6",
                           "--force-bound", "--json"])
     assert (_sha(f"{code}\n{out}"), _sha(out)) == INVERSE_MONOIDS_TO_SIX_EXPECTED
+
+
+# Exit code and stdout digest of ``imw suite`` in human format; its ``--json``
+# bytes are perfbench/reference/suite.json, pinned in test_acceptance.
+SUITE_HUMAN_EXPECTED = (
+    0, "70a89efded2ead20dbbe3c796fb7c45da1c8086fa1126b3ea94ed4530da6da21")
+
+
+def test_suite_human_output_unchanged():
+    code, out = _cli_run(["suite"])
+    assert (code, _sha(out)) == SUITE_HUMAN_EXPECTED

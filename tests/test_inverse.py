@@ -43,6 +43,7 @@ from imw.errors import (
 )
 from imw.extension import WSSplitting, build_canonical_extension, make_extension
 from imw.inverse import (
+    FInverseResult,
     InverseMonoid,
     idempotent_semilattice,
     is_clifford,
@@ -554,6 +555,27 @@ def test_f_inverse_matches_the_dense_natural_order(order_cases):
         res = is_f_inverse(m)
         assert (res.selector, res.witness_class, res.witness_maximals) == \
             _f_inverse_by_order(m, leq)
+
+
+def _f_inverse_by_maximal_scan(m):
+    """Oracle: the maximal elements of each sigma class under m.leq, by a
+    scan over every pair of members, with the unique one confirmed greatest."""
+    selector = []
+    for c, members in enumerate(m.sigma.classes()):
+        maximals = tuple(x for x in members
+                         if not any(m.leq(x, y) for y in members if y != x))
+        if len(maximals) != 1:
+            return FInverseResult(holds=False, witness_class=c, witness_maximals=maximals)
+        assert all(m.leq(y, maximals[0]) for y in members)
+        selector.append(maximals[0])
+    return FInverseResult(holds=True, selector=tuple(selector))
+
+
+def test_f_inverse_matches_the_maximal_scan(order_cases):
+    # is_f_inverse finds a candidate in one pass and scans for maximals only
+    # in a class that has no greatest element.
+    for m, _ in order_cases:
+        assert is_f_inverse(m) == _f_inverse_by_maximal_scan(m)
 
 
 def test_natural_order_matches_the_dense_oracle(order_cases):
