@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import FiniteMonoid, first_occurrence_classes, is_group, tabulate
+from .core import FiniteMonoid, _Sealed, first_occurrence_classes, is_group, tabulate
 from .errors import (
     AxiomViolation,
     ConditionViolation,
@@ -26,7 +26,7 @@ from .iso import IsoWitness, verify_iso
 
 
 @dataclass(frozen=True)
-class AlmostAction:
+class AlmostAction(_Sealed, checker="validate_almost_action"):
     group: FiniteMonoid
     semilattice: SemilatticeMonoid
     dot: tuple[tuple[int, ...], ...]  # dot[g][y]
@@ -37,7 +37,7 @@ class AlmostAction:
 
 
 @dataclass(frozen=True)
-class FactorSystem:
+class FactorSystem(_Sealed, checker="validate_factor_system"):
     h_part: FiniteMonoid
     n_part: FiniteMonoid
     sim: tuple[tuple[int, ...], ...]  # sim[h][n]: class of n at index h
@@ -46,10 +46,15 @@ class FactorSystem:
 
 
 @dataclass(frozen=True)
-class GluingMap:
+class GluingMap(_Sealed, checker="validate_gluing_map"):
     group: FiniteMonoid
     semilattice: SemilatticeMonoid
     f: tuple[int, ...]
+
+    @cached_property
+    def meet_action(self) -> AlmostAction:  # g·y = f(g) ∧ y; A3 is the gluing condition
+        rows = tuple(self.semilattice.base.table[c] for c in self.f)
+        return AlmostAction(self.group, self.semilattice, rows, seal=_Sealed)
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def validate_almost_action(group: FiniteMonoid, semilattice: SemilatticeMonoid,
             for y in range(y_n):
                 if rows[g][rows[h][y]] != meet(rows[gh][y], gtop):
                     raise AxiomViolation("A3", (g, h, y))
-    return AlmostAction(group=group, semilattice=semilattice, dot=rows)
+    return AlmostAction(group=group, semilattice=semilattice, dot=rows, seal=_Sealed)
 
 
 def f_product(aa: AlmostAction) -> PairMonoid:
@@ -229,7 +234,7 @@ def validate_factor_system(h_part: FiniteMonoid, n_part: FiniteMonoid,
                 if s[lhs] != s[rhs]:
                     raise ConditionViolation(11, (x, y, z))
     return FactorSystem(h_part=h_part, n_part=n_part,
-                        sim=sim_t, act=act_t, chi=chi_t)
+                        sim=sim_t, act=act_t, chi=chi_t, seal=_Sealed)
 
 
 def factor_system_from_almost_action(aa: AlmostAction) -> FactorSystem:
@@ -308,7 +313,7 @@ def validate_gluing_map(group: FiniteMonoid, semilattice: SemilatticeMonoid,
         for h in range(group.n):
             if meet(vals[group.mul(g, h)], vals[g]) != meet(vals[g], vals[h]):
                 raise ConditionViolation("gluing", (g, h))
-    return GluingMap(group=group, semilattice=semilattice, f=vals)
+    return GluingMap(group=group, semilattice=semilattice, f=vals, seal=_Sealed)
 
 
 def gluing(gm: GluingMap) -> PairMonoid:
@@ -318,9 +323,7 @@ def gluing(gm: GluingMap) -> PairMonoid:
     F-inverse Clifford with section g ↦ (f(g), g) is the theorem the suite
     checks, not this builder.
     """
-    semi = gm.semilattice
-    return f_product(validate_almost_action(
-        gm.group, semi, [[semi.meet(fg, y) for y in range(semi.n)] for fg in gm.f]))
+    return f_product(gm.meet_action)
 
 
 def _require_f_inverse(m: InverseMonoid) -> None:

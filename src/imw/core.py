@@ -6,7 +6,7 @@ are cosmetic. All structures are immutable once validated and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -18,6 +18,21 @@ from .errors import (
     NotIdentity,
     ValidationError,
 )
+
+
+@dataclass(frozen=True)
+class _Sealed:
+    """A record that only its checker, or a builder that proves its axioms,
+    makes: each passes this module-private class as ``seal``."""
+
+    seal: InitVar[object] = field(default=None, kw_only=True)
+
+    def __init_subclass__(cls, checker: str) -> None:
+        cls._checker = checker
+
+    def __post_init__(self, seal: object) -> None:
+        if seal is not _Sealed:
+            raise TypeError(f"{type(self).__name__} is made only by {self._checker}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +71,7 @@ class MonoidMap:
 
 
 @dataclass(frozen=True)
-class Congruence:
+class Congruence(_Sealed, checker="make_congruence"):
     """Partition of a monoid compatible with multiplication.
 
     ``class_of`` uses contiguous class indices numbered by first occurrence,
@@ -249,7 +264,7 @@ def make_congruence(m: FiniteMonoid, class_of: Sequence[int]) -> Congruence:
         if row != expected:
             y = list(map(ne, row, expected)).index(True)
             raise NotACongruence(((rep[x], rep[y]), (x, y)))
-    return Congruence(monoid=m, class_of=tuple(canon), reps=tuple(least))
+    return Congruence(monoid=m, class_of=tuple(canon), reps=tuple(least), seal=_Sealed)
 
 
 def quotient(theta: Congruence) -> tuple[FiniteMonoid, MonoidMap]:

@@ -2,9 +2,9 @@
 
 Named instances witnessing each predicate both ways, hard-coded small groups,
 and exhaustive enumerators (semilattices, almost actions, gluing maps,
-inverse monoids); the row searches take a budget. Everything emitted has
-already passed its validator, and enumeration order is deterministic so
-counts can be pinned as regression values.
+inverse monoids); the row searches take a budget. Each record emitted is
+sealed by its checker or by the search that proves it, and enumeration
+order is deterministic so counts can be pinned as regression values.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .constructions import (
     validate_almost_action,
     validate_gluing_map,
 )
-from .core import FiniteMonoid, backtrack, is_group, tabulate, validate_monoid
-from .errors import BudgetExceeded
+from .core import FiniteMonoid, _Sealed, backtrack, is_group, tabulate, validate_monoid
+from .errors import BudgetExceeded, PreconditionFailed
 from .inverse import InverseMonoid, SemilatticeMonoid, validate_inverse, validate_semilattice
 
 DEFAULT_BUDGET = 10 ** 7
@@ -255,10 +255,12 @@ def _meet_endomorphisms(semi: SemilatticeMonoid) -> list[tuple[int, ...]]:
 
 
 def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
-                rows: Sequence[tuple[int, ...]], budget: int) -> Iterator[tuple]:
+                rows: Sequence[tuple[int, ...]], budget: int, role: str) -> Iterator[tuple]:
     """Action tables with the identity row at 1 and the other rows from
     ``rows``, filled one group element at a time, in table order. The search
     backtracks as soon as axiom A3 fails; the budget caps the rows tried."""
+    if not is_group(group):
+        raise PreconditionFailed(f"{role} must be a group")
     y_n, g_n = semilattice.n, group.n
     meet = semilattice.base.table
     mul = group.table
@@ -293,11 +295,11 @@ def _row_search(group: FiniteMonoid, semilattice: SemilatticeMonoid,
 
 def enumerate_almost_actions(group: FiniteMonoid, semilattice: SemilatticeMonoid,
                              budget: int = DEFAULT_BUDGET) -> Iterator[AlmostAction]:
-    """Every action table passing the three axioms, in table order. Axiom A2
-    holds row by row, so the row search draws from the meet endomorphisms."""
+    """Every action table passing the three axioms, in table order: A1 by the
+    identity row, A2 by the meet-endomorphism rows, A3 by the row search."""
     for dot in _row_search(group, semilattice, _meet_endomorphisms(semilattice),
-                           budget):
-        yield validate_almost_action(group, semilattice, dot)
+                           budget, "acting monoid"):
+        yield AlmostAction(group, semilattice, dot, seal=_Sealed)
 
 
 def enumerate_gluing_maps(group: FiniteMonoid, semilattice: SemilatticeMonoid,
@@ -307,11 +309,11 @@ def enumerate_gluing_maps(group: FiniteMonoid, semilattice: SemilatticeMonoid,
     f is admissible iff g·y = f(g) ∧ y satisfies axiom A3: f(g) ∧ f(h) ∧ y =
     f(gh) ∧ f(g) ∧ y is the gluing condition met with y. So the row search
     draws from the meet translations y ↦ c ∧ y (row c of the meet table), and
-    f(g) is row g at top.
+    f(g) is row g at top, so f(1) = top.
     """
     top = semilattice.top
-    for dot in _row_search(group, semilattice, semilattice.base.table, budget):
-        yield validate_gluing_map(group, semilattice, [row[top] for row in dot])
+    for dot in _row_search(group, semilattice, semilattice.base.table, budget, "gluing base"):
+        yield GluingMap(group, semilattice, tuple(row[top] for row in dot), seal=_Sealed)
 
 
 def enumerate_inverse_monoids(max_n: int) -> Iterator[InverseMonoid]:

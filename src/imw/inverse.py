@@ -16,6 +16,7 @@ from .core import (
     Congruence,
     FiniteMonoid,
     MonoidMap,
+    _Sealed,
     make_congruence,
     quotient,
 )
@@ -32,7 +33,7 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class InverseMonoid:
+class InverseMonoid(_Sealed, checker="validate_inverse"):
     base: FiniteMonoid
     inv: tuple[int, ...]
 
@@ -89,7 +90,7 @@ class InverseMonoid:
 
 
 @dataclass(frozen=True)
-class SemilatticeMonoid:
+class SemilatticeMonoid(_Sealed, checker="validate_semilattice"):
     """Commutative idempotent monoid; multiplication is meet, identity is top."""
 
     base: FiniteMonoid
@@ -143,7 +144,7 @@ def validate_inverse(m: FiniteMonoid) -> InverseMonoid:
             if t[e][f] != t[f][e]:
                 raise InternalCharacterizationFailure(
                     f"idempotents {e},{f} do not commute although inverses are unique")
-    return InverseMonoid(base=m, inv=tuple(inv))
+    return InverseMonoid(base=m, inv=tuple(inv), seal=_Sealed)
 
 
 def validate_semilattice(m: FiniteMonoid) -> SemilatticeMonoid:
@@ -154,7 +155,7 @@ def validate_semilattice(m: FiniteMonoid) -> SemilatticeMonoid:
             if m.mul(x, y) != m.mul(y, x):
                 raise ValidationError(
                     f"not a semilattice monoid (not commutative): witness {(x, y)}")
-    return SemilatticeMonoid(base=m)
+    return SemilatticeMonoid(base=m, seal=_Sealed)
 
 
 def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidMap]:
@@ -167,7 +168,7 @@ def idempotent_semilattice(m: InverseMonoid) -> tuple[SemilatticeMonoid, MonoidM
     sub = FiniteMonoid(n=len(idem), id=pos[m.id],
                        table=tuple(tuple(pos[t[e][f]] for f in idem) for e in idem),
                        labels=tuple(m.label(e) for e in idem))
-    return SemilatticeMonoid(sub), MonoidMap(sub, m.base, tuple(idem))
+    return SemilatticeMonoid(sub, seal=_Sealed), MonoidMap(sub, m.base, tuple(idem))
 
 
 def natural_order(m: InverseMonoid) -> list[tuple[int, int]]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .constructions import (
     clifford_reconstruction,
     factor_system_from_extension,
-    gluing,
     iso_f_product_crossed,
 )
 from .core import (
@@ -82,7 +81,7 @@ class SuiteContext:
 
     monoids: list  # (name, InverseMonoid): named + enumerated + constructed
     actions: list  # (name, AlmostAction) over the standard grid
-    gluing_maps: list  # (name, GluingMap, its PairMonoid Gl(f)) over the standard grid
+    gluing_maps: list  # (name, GluingMap, Gl(f)); Gl(f) is the F(Y,G) of its meet action in actions
 
 
 def build_context() -> SuiteContext:
@@ -98,15 +97,10 @@ def build_context() -> SuiteContext:
     gluing_maps = []
     for gname, g in grid_groups:
         for yname, y in grid_semis:
-            for i, aa in enumerate(enumerate_almost_actions(g, y)):
-                actions.append((f"aa({gname},{yname})#{i}", aa))
-            for i, gm in enumerate(enumerate_gluing_maps(g, y)):
-                gluing_maps.append((f"gl({gname},{yname})#{i}", gm, gluing(gm)))
-    # Gl(f) is the F(Y,G) of the meet action, so each grid Gl(f) takes the
-    # object of its equal F(Y,G) and shares everything derived from it.
-    twins = {aa.f_product.monoid.base: aa.f_product for _, aa in actions}
-    gluing_maps = [(name, gm, twins.get(gl.monoid.base, gl))
-                   for name, gm, gl in gluing_maps]
+            cell = {aa: aa for aa in enumerate_almost_actions(g, y)}
+            actions += [(f"aa({gname},{yname})#{i}", aa) for i, aa in enumerate(cell)]
+            gluing_maps += [(f"gl({gname},{yname})#{i}", gm, cell[gm.meet_action].f_product)
+                            for i, gm in enumerate(enumerate_gluing_maps(g, y))]
     for name, aa in actions:
         monoids.append((f"F[{name}]", aa.f_product.monoid))
     for name, _, gl in gluing_maps:

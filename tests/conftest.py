@@ -4,7 +4,7 @@ from typing import Sequence
 
 import pytest
 
-from imw.core import make_congruence, tabulate
+from imw.core import _Sealed, make_congruence, tabulate
 from imw.corpus import builtin_corpus
 from imw.inverse import validate_inverse
 
@@ -13,6 +13,12 @@ from imw.inverse import validate_inverse
 def corpus_monoids():
     """Every builtin instance that is a monoid, as (name, InverseMonoid)."""
     return [(inst.name, validate_inverse(inst.table)) for inst in builtin_corpus()]
+
+
+def unchecked(record, **fields):
+    """A ``record`` made from ``fields`` without its checker, for a test of
+    what a consumer does with data that the checker would refuse."""
+    return record(**fields, seal=_Sealed)
 
 
 def identity_congruence(m):

@@ -181,9 +181,10 @@ def test_criterion_7_runs_the_crossed_product_check(monkeypatch):
 
 
 def test_each_distinct_suite_monoid_is_one_object(monkeypatch):
-    # Gl(f) is the F(Y,G) of the meet action, so each grid Gl(f) is built and
-    # then replaced by the object of its equal F(Y,G); criteria 6 and 7 run
-    # their oracles once per object and still report every name.
+    # Gl(f) is the F(Y,G) of the meet action, so each grid Gl(f) is the cached
+    # F(Y,G) of the grid action equal to its meet action, and no other F(Y,G)
+    # is built; criteria 6 and 7 run their oracles once per object and still
+    # report every name.
     calls = Counter()
 
     def counting(fn):
@@ -192,11 +193,14 @@ def test_each_distinct_suite_monoid_is_one_object(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in ("gluing", "sigma_by_exhaustion", "factor_system_from_extension",
-               "brute_force_iso"):
+    for fn in ("sigma_by_exhaustion", "factor_system_from_extension", "brute_force_iso"):
         monkeypatch.setattr(imw.suite, fn, counting(getattr(imw.suite, fn)))
+    monkeypatch.setattr(imw.constructions, "f_product",
+                        counting(imw.constructions.f_product))
     ctx = build_context()
-    assert calls["gluing"] == len(ctx.gluing_maps) == 122
+    assert calls["f_product"] == len(ctx.actions) == 135 and len(ctx.gluing_maps) == 122
+    grid = {aa: aa for _, aa in ctx.actions}
+    assert all(gl is grid[gm.meet_action].f_product for _, gm, gl in ctx.gluing_maps)
     objects = list({id(m): m for _, m in ctx.monoids}.values())
     assert (len(ctx.monoids), len(objects), len(set(objects))) == (288, 166, 166)
     twins = {m.base: m for name, m in ctx.monoids if name.startswith("F[")}

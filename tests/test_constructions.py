@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import unchecked
 from imw.constructions import (
     FactorSystem,
     almost_action_from_f_inverse,
@@ -228,7 +229,8 @@ def test_crossed_product_rejects_broken_relation():
     with pytest.raises(ConditionViolation) as exc:
         validate_factor_system(trivial_monoid(), y.base, sim, act, chi)
     assert (exc.value.condition, exc.value.witness) == (1, (1, 2))
-    fs = FactorSystem(h_part=trivial_monoid(), n_part=y.base, sim=sim, act=act, chi=chi)
+    fs = unchecked(FactorSystem, h_part=trivial_monoid(), n_part=y.base,
+                   sim=sim, act=act, chi=chi)
     with pytest.raises(_IllDefined) as exc:
         _crossed_product_by_all_pairs(fs)
     # Row-major over (element, element), the first representative pair that

@@ -7,8 +7,18 @@ from hypothesis import strategies as st
 from conftest import (_monoid_tables_by_scan, _semilattices_by_scan,
                       _symmetric_inverse_monoid, identity_congruence,
                       universal_congruence)
+from imw.constructions import (
+    AlmostAction,
+    FactorSystem,
+    GluingMap,
+    crossed_product,
+    f_product,
+    gluing,
+)
 from imw.core import (
+    Congruence,
     _generators,
+    _Sealed,
     backtrack,
     direct_product,
     generated_submonoid,
@@ -24,6 +34,7 @@ from imw.corpus import (
     builtin_corpus,
     chain,
     cyclic_group,
+    diamond,
     enumerate_inverse_monoids,
     klein_four,
     m3,
@@ -40,7 +51,13 @@ from imw.errors import (
     NotIdentity,
     ValidationError,
 )
-from imw.inverse import is_clifford, validate_inverse
+from imw.inverse import (
+    InverseMonoid,
+    SemilatticeMonoid,
+    idempotent_semilattice,
+    is_clifford,
+    validate_inverse,
+)
 from imw.iso import brute_force_iso
 from imw.inverse import min_group_congruence
 
@@ -422,6 +439,52 @@ def test_congruence_witness_names_the_least_members_of_a_later_row():
     with pytest.raises(NotACongruence) as exc:
         make_congruence(m7(), (0, 0, 1, 1, 1, 1, 1))
     assert exc.value.witness == ((2, 2), (4, 5))
+
+
+def _t3():
+    """T3, the self-maps of 3 points: regular but not inverse."""
+    maps = sorted(product(range(3), repeat=3))
+    return tabulate(maps, lambda x, y: tuple(y[x[i]] for i in range(3)), (0, 1, 2), str)[0]
+
+
+# Each record built by hand, passed to the consumer that trusts it.
+_HAND_BUILT = [
+    # Not a congruence: quotient would read its reps and give the 2-chain.
+    ("Congruence", "make_congruence",
+     lambda: quotient(Congruence(monoid=m3(), class_of=(0, 1, 0), reps=(0, 1)))),
+    # T3 is not inverse: E(M) of it would raise a bare KeyError.
+    ("InverseMonoid", "validate_inverse",
+     lambda: idempotent_semilattice(InverseMonoid(base=_t3(), inv=tuple(range(27))))),
+    ("SemilatticeMonoid", "validate_semilattice",
+     lambda: SemilatticeMonoid(base=cyclic_group(2))),
+    # The swap of the 2-chain breaks A2, yet F(Y,G) of it would be a monoid.
+    ("AlmostAction", "validate_almost_action",
+     lambda: f_product(AlmostAction(cyclic_group(2), chain(2), ((0, 1), (1, 0))))),
+    # f(1) is not the top.
+    ("GluingMap", "validate_gluing_map",
+     lambda: gluing(GluingMap(cyclic_group(2), chain(2), (1, 0)))),
+    # The diamond system of test_crossed_product_rejects_broken_relation:
+    # crossed_product would read least members and give the 3-chain.
+    ("FactorSystem", "validate_factor_system",
+     lambda: crossed_product(FactorSystem(h_part=trivial_monoid(), n_part=diamond().base,
+                                          sim=((0, 1, 1, 2),), act=((0, 1, 2, 3),),
+                                          chi=((0,),)))),
+]
+
+
+@pytest.mark.parametrize("record, checker, build", _HAND_BUILT,
+                         ids=[record for record, _, _ in _HAND_BUILT])
+def test_each_checked_record_comes_only_from_its_checker(record, checker, build):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == f"{record} is made only by {checker}"
+
+
+def test_a_forged_seal_is_refused():
+    with pytest.raises(TypeError, match="Congruence is made only by make_congruence"):
+        Congruence(monoid=m3(), class_of=(0, 1, 2), reps=(0, 1, 2), seal=object())
+    cong = Congruence(monoid=m3(), class_of=(0, 1, 2), reps=(0, 1, 2), seal=_Sealed)
+    assert cong == make_congruence(m3(), [0, 1, 2])
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from conftest import (
     _monoid_tables_by_scan,
     _semilattices_by_scan,
 )
+from imw.constructions import validate_almost_action, validate_gluing_map
 from imw.core import is_group, validate_monoid
 from imw.corpus import (
     _add_atom,
@@ -25,10 +26,11 @@ from imw.corpus import (
     enumerate_inverse_monoids,
     enumerate_semilattices,
     klein_four,
+    m3,
     small_groups,
     sym3,
 )
-from imw.errors import BudgetExceeded, NoInverse, NonUniqueInverse
+from imw.errors import BudgetExceeded, NoInverse, NonUniqueInverse, PreconditionFailed
 from imw.inverse import validate_inverse, validate_semilattice
 from imw.iso import brute_force_iso
 from imw.report import analyze
@@ -177,21 +179,36 @@ def _almost_actions_by_exhaustion(group, semilattice):
 
 
 def test_almost_actions_match_exhaustion_on_suite_grid():
+    # The search seals each action without validate_almost_action, which
+    # still accepts it.
     total = 0
     for group in (cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four()):
         for semi in enumerate_semilattices(4):
-            got = [aa.dot for aa in enumerate_almost_actions(group, semi,
-                                                              budget=10 ** 8)]
-            assert got == _almost_actions_by_exhaustion(group, semi)
-            total += len(got)
+            actions = list(enumerate_almost_actions(group, semi, budget=10 ** 8))
+            assert [aa.dot for aa in actions] == _almost_actions_by_exhaustion(group, semi)
+            for aa in actions:
+                assert validate_almost_action(group, semi, aa.dot) == aa
+            total += len(actions)
     assert total == 135
 
 
 @pytest.mark.parametrize("group", [sym3(), cyclic_group(5), cyclic_group(6)],
                          ids=["s3", "z5", "z6"])
 def test_almost_actions_match_exhaustion_beyond_grid(group):
-    got = [aa.dot for aa in enumerate_almost_actions(group, chain(2))]
-    assert got == _almost_actions_by_exhaustion(group, chain(2))
+    actions = list(enumerate_almost_actions(group, chain(2)))
+    assert [aa.dot for aa in actions] == _almost_actions_by_exhaustion(group, chain(2))
+    for aa in actions:
+        assert validate_almost_action(group, chain(2), aa.dot) == aa
+
+
+@pytest.mark.parametrize("enumerator, requirement", [
+    (enumerate_almost_actions, "acting monoid must be a group"),
+    (enumerate_gluing_maps, "gluing base must be a group")])
+def test_enumerators_refuse_a_non_group_before_the_search(enumerator, requirement):
+    # A budget of 0 would stop the search at its first row.
+    with pytest.raises(PreconditionFailed) as exc:
+        next(enumerator(m3(), chain(2), budget=0))
+    assert str(exc.value) == f"precondition not met: {requirement}"
 
 
 def test_almost_action_budget():
@@ -261,6 +278,24 @@ def test_gluing_maps_match_exhaustion():
             got = [gm.f for gm in enumerate_gluing_maps(group, semi)]
             assert got == _gluing_maps_by_exhaustion(group, semi)
             total += len(got)
+    assert total == 273
+
+
+def test_gluing_maps_and_their_meet_actions_pass_the_validators():
+    # The search seals each map without validate_gluing_map, and
+    # GluingMap.meet_action seals g·y = f(g) ∧ y without
+    # validate_almost_action; both validators still accept them, and each
+    # meet action is one of its cell's almost actions, as the suite assumes.
+    total = 0
+    for group in small_groups():
+        for semi in enumerate_semilattices(4):
+            actions = set(enumerate_almost_actions(group, semi))
+            for gm in enumerate_gluing_maps(group, semi):
+                assert validate_gluing_map(group, semi, gm.f) == gm
+                meet = gm.meet_action
+                assert validate_almost_action(group, semi, meet.dot) == meet
+                assert meet in actions
+                total += 1
     assert total == 273
 
 

@@ -274,6 +274,16 @@ def test_enumerate_exit_code_on_arbitrary_flags(argv):
             assert json.loads(out)["count"] >= 0
 
 
+@pytest.mark.parametrize("kind, requirement", [
+    ("almost-action", "acting monoid must be a group"),
+    ("gluing-map", "gluing base must be a group")])
+@pytest.mark.parametrize("group", ["m3", "b2-1", "m7", "d4", "ch2", "ch3", "ch4"])
+def test_enumerate_refuses_a_group_that_is_not_one(kind, requirement, group):
+    code, out, err = _run(["enumerate", "--kind", kind, "--group", group,
+                           "--semilattice", "ch2", "--json"])
+    assert (code, out, err) == (2, "", f"error: precondition not met: {requirement}\n")
+
+
 @st.composite
 def _refused_suite_call(draw):
     """suite flags that must be refused before the suite runs: the suite

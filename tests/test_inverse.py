@@ -9,7 +9,7 @@ import pytest
 import imw.extension
 import imw.inverse
 import imw.suite
-from conftest import _symmetric_inverse_monoid
+from conftest import _symmetric_inverse_monoid, unchecked
 from imw.constructions import clifford_reconstruction, factor_system_from_extension
 from imw.core import (
     MonoidMap,
@@ -602,10 +602,10 @@ def test_clifford():
 
 
 def test_clifford_cross_check_names_the_element_when_only_the_idempotents_disagree():
-    # Built by hand, so validate_inverse never sees it: with inv the identity,
+    # Built without validate_inverse, which would refuse it: with inv the identity,
     # x*inv(x) = inv(x)*x for every x, but the idempotent ab does not commute
     # with a (ab*a = a, a*ab = 0).
-    m = InverseMonoid(base=brandt_b2_1(), inv=tuple(range(6)))
+    m = unchecked(InverseMonoid, base=brandt_b2_1(), inv=tuple(range(6)))
     with pytest.raises(InternalCharacterizationFailure) as exc:
         is_clifford(m)
     assert str(exc.value) == "central-idempotents and x*inv(x)=inv(x)*x disagree at 1"
@@ -640,13 +640,13 @@ def _no_chi_witness():
     (lambda: validate_semilattice(validate_monoid(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)),
      ValidationError, "not a semilattice monoid (not commutative): witness (1, 2)"),
     # S3 with inv(021) swapped for 102, a transposition that does not commute with it.
-    (lambda: is_clifford(InverseMonoid(base=sym3(), inv=(0, 2, 2, 4, 3, 5))),
+    (lambda: is_clifford(unchecked(InverseMonoid, base=sym3(), inv=(0, 2, 2, 4, 3, 5))),
      InternalCharacterizationFailure,
      "central-idempotents and x*inv(x)=inv(x)*x disagree at 1"),
     # The chain 1 > 0 with its inverses swapped: the order x = x*inv(x)*y then
     # fails 1 <= 1, so 1, the only maximal of its class, is not its greatest.
-    (lambda: is_f_inverse(InverseMonoid(base=validate_monoid(2, [[0, 1], [1, 1]], 0),
-                                        inv=(1, 0))),
+    (lambda: is_f_inverse(unchecked(InverseMonoid,
+                                    base=validate_monoid(2, [[0, 1], [1, 1]], 0), inv=(1, 0))),
      InternalCharacterizationFailure,
      "natural order failed unique maximal is not greatest: (0, 0)"),
     (_no_action_witness, ValidationError, "no element solves k(n')*s(0) = s(0)*k(2)"),
