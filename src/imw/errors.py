@@ -3,10 +3,13 @@
 Every failure names the witness that falsifies the claimed property in its
 message, so callers (and the CLI report) can print a concrete counterexample
 instead of a bare boolean. A failure gets its own class only where ``src/``
-catches it by type or a test names it. Every other failure raises
-``ValidationError`` when the input is at fault, or
-``InternalCharacterizationFailure`` when a guaranteed cross-check fails,
-with its message built at the raise site.
+catches it by type or a test names it, and every class is raised in
+``src/``. A failure is in one of two categories: the input is at fault or
+exceeds a search limit (``ValidationError`` with its subclasses, and the
+precondition, search-limit and syntax classes), or a theorem the workbench
+certifies fails on an instance (``TheoremViolation``, a bug). A failure
+without its own class raises ``ValidationError``, with its message built at
+the raise site.
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ class NonUniqueInverse(ValidationError):
     def __init__(self, x: int, candidates):
         self.witness = (x, tuple(candidates))
         super().__init__(f"element {x} has several generalized inverses: {sorted(candidates)}")
-
-
-class InternalCharacterizationFailure(ImwError):
-    """A mathematically guaranteed cross-check failed; indicates a bug, not bad input."""
 
 
 class TheoremViolation(ImwError):

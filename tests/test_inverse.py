@@ -9,7 +9,7 @@ import pytest
 import imw.extension
 import imw.inverse
 import imw.suite
-from conftest import _symmetric_inverse_monoid, unchecked
+from conftest import _symmetric_inverse_monoid
 from imw.constructions import clifford_reconstruction, factor_system_from_extension
 from imw.core import (
     MonoidMap,
@@ -34,17 +34,10 @@ from imw.corpus import (
     sym3,
     trivial_monoid,
 )
-from imw.errors import (
-    InternalCharacterizationFailure,
-    NoInverse,
-    NonUniqueInverse,
-    NotACongruence,
-    ValidationError,
-)
+from imw.errors import NoInverse, NonUniqueInverse, NotACongruence, ValidationError
 from imw.extension import WSSplitting, build_canonical_extension, make_extension
 from imw.inverse import (
     FInverseResult,
-    InverseMonoid,
     idempotent_semilattice,
     is_clifford,
     is_e_unitary,
@@ -281,15 +274,6 @@ def test_sigma_search_finds_every_group_congruence_in_order(source, corpus_monoi
     assert total == count
 
 
-def test_sigma_refuses_a_quotient_that_is_not_a_group(monkeypatch):
-    # The identity congruence on a monoid that is not a group.
-    monkeypatch.setattr(imw.inverse, "make_congruence",
-                        lambda m, classes: make_congruence(m, range(m.n)))
-    for build in (m3, brandt_b2_1, m7):
-        with pytest.raises(InternalCharacterizationFailure, match="not a group"):
-            min_group_congruence(validate_inverse(build()))
-
-
 def test_group_quotient_iff_x_inv_x_is_one(corpus_monoids):
     # The test min_group_congruence applies to σ holds for any congruence.
     cases = [m for _, m in corpus_monoids if m.n <= 7]
@@ -323,12 +307,14 @@ def test_idempotent_semilattice_passes_the_checks_it_skips(order_cases):
 
 
 def test_group_image_passes_the_checks_it_skips(order_cases):
-    # M/σ is built unchecked from the least members of the classes; the
-    # monoid check and the build through tabulate are the oracles.
+    # M/σ is built unchecked from the least members of the classes, and σ
+    # from the least idempotent with no group check; the monoid check, the
+    # build through tabulate and is_group are the oracles.
     for m, _ in order_cases:
         q, _ = m.group_image
         cls, reps, t = m.sigma.class_of, m.sigma.reps, m.base.table
         assert validate_monoid(q.n, q.table, q.id, q.labels) == q
+        assert is_group(q)
         assert tabulate(reps, lambda x, y: reps[cls[t[x][y]]], reps[cls[m.id]],
                         lambda x: f"[{m.label(x)}]")[0] == q
 
@@ -599,16 +585,29 @@ def test_clifford():
     e, x = res.witness
     m = validate_inverse(m7())
     assert m.base.is_idempotent(e) and m.mul(e, x) != m.mul(x, e)
+    # B2^1 x B2^1 with (1,a) and (ab,1) numbered first. The least non-central
+    # idempotent (ab,1) commutes with (1,a), so the first pair in
+    # idempotent-major order is not the first in element-major order.
+    b = brandt_b2_1()
+    first = [(0, 0), (0, 1), (3, 0)]
+    pairs = first + [p for p in product(range(b.n), repeat=2) if p not in first]
+    bb = tabulate(pairs, lambda p, q: (b.mul(p[0], q[0]), b.mul(p[1], q[1])), (0, 0),
+                  lambda p: f"({b.label(p[0])},{b.label(p[1])})")[0]
+    res = is_clifford(validate_inverse(bb))
+    assert [bb.label(v) for v in res.witness] == ["(ab,1)", "(a,1)"]
 
 
-def test_clifford_cross_check_names_the_element_when_only_the_idempotents_disagree():
-    # Built without validate_inverse, which would refuse it: with inv the identity,
-    # x*inv(x) = inv(x)*x for every x, but the idempotent ab does not commute
-    # with a (ab*a = a, a*ab = 0).
-    m = unchecked(InverseMonoid, base=brandt_b2_1(), inv=tuple(range(6)))
-    with pytest.raises(InternalCharacterizationFailure) as exc:
-        is_clifford(m)
-    assert str(exc.value) == "central-idempotents and x*inv(x)=inv(x)*x disagree at 1"
+def test_clifford_iff_x_inv_x_is_inv_x_x(order_cases):
+    # is_clifford tests only that idempotents are central. In an inverse
+    # monoid that holds iff x*inv(x) = inv(x)*x for every x, and the witness
+    # is the first non-commuting (e, x) in idempotent-major order.
+    verdicts = [(m, is_clifford(m)) for m, _ in order_cases]
+    assert sum(not res.holds for _, res in verdicts) == 17
+    for m, res in verdicts:
+        assert res.holds == all(m.mul(x, m.inv[x]) == m.mul(m.inv[x], x) for x in range(m.n))
+        pairs = [(e, x) for e in range(m.n) if m.mul(e, e) == e
+                 for x in range(m.n) if m.mul(e, x) != m.mul(x, e)]
+        assert res.witness == (pairs[0] if pairs else None)
 
 
 def _no_action_witness():
@@ -639,20 +638,10 @@ def _no_chi_witness():
     # The left-zero band with an identity.
     (lambda: validate_semilattice(validate_monoid(3, [[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)),
      ValidationError, "not a semilattice monoid (not commutative): witness (1, 2)"),
-    # S3 with inv(021) swapped for 102, a transposition that does not commute with it.
-    (lambda: is_clifford(unchecked(InverseMonoid, base=sym3(), inv=(0, 2, 2, 4, 3, 5))),
-     InternalCharacterizationFailure,
-     "central-idempotents and x*inv(x)=inv(x)*x disagree at 1"),
-    # The chain 1 > 0 with its inverses swapped: the order x = x*inv(x)*y then
-    # fails 1 <= 1, so 1, the only maximal of its class, is not its greatest.
-    (lambda: is_f_inverse(unchecked(InverseMonoid,
-                                    base=validate_monoid(2, [[0, 1], [1, 1]], 0), inv=(1, 0))),
-     InternalCharacterizationFailure,
-     "natural order failed unique maximal is not greatest: (0, 0)"),
     (_no_action_witness, ValidationError, "no element solves k(n')*s(0) = s(0)*k(2)"),
     (_no_chi_witness, ValidationError, "no element solves k(n)*s(0*0) = s(0)*s(0)"),
 ], ids=["forward-backward", "backward-forward", "not-idempotent", "not-commutative",
-        "clifford-mismatch", "order-axiom", "no-action", "no-chi"])
+        "no-action", "no-chi"])
 def test_each_failure_without_its_own_class_keeps_its_message(fail, cls, message):
     with pytest.raises(cls) as exc:
         fail()
@@ -667,8 +656,9 @@ def test_order_restricted_to_idempotents_is_semilattice_order(corpus_monoids):
                 assert m.leq(e, f) == semi.leq(i, j), name
 
 
-def test_enumerated_inverse_monoids_have_commuting_idempotents():
-    for m in enumerate_inverse_monoids(3):
+def test_enumerated_inverse_monoids_have_commuting_idempotents(order_cases):
+    # validate_inverse does not check this theorem, and E(M) relies on it.
+    for m, _ in order_cases:
         for e in m.base.idempotents():
             for f in m.base.idempotents():
                 assert m.mul(e, f) == m.mul(f, e)
