@@ -45,9 +45,6 @@ class FiniteMonoid:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def is_idempotent(self, x: int) -> bool:
-        return self.table[x][x] == x
-
     def idempotents(self) -> list[int]:
         return [x for x in range(self.n) if self.table[x][x] == x]
 

@@ -329,16 +329,21 @@ def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
     """The inverse monoid tables with identity 0, in lexicographic order, one
     for each class under the relabellings that fix 0: its least.
 
-    Backtracks over the cells in row-major order. A partial table T is
-    dropped as soon as a law an inverse monoid keeps fails on its filled
-    cells: associativity or unique inverses (some x has two settled
-    inverses, or every y is ruled out). Both survive a relabelling pi, so T
-    is also dropped as soon as pi(T) is smaller than T at the first cell
-    where the two differ (lex-leader pruning; Distler & Kelsey, "The monoids
-    of orders eight, nine & ten", 2009). An associative table with unique
-    inverses is an inverse monoid, so the search completes no other table.
-    Its idempotents commute, so they are not checked on partial tables: such
-    a check was measured to reject none for n <= 7."""
+    Backtracks over the cells in row-major order. Filling a cell also fills
+    each cell that it forces: an associativity instance (xy)z = x(yz) whose
+    other cells are filled demands the value of its last cell, so no table
+    is lost (constraint propagation; Distler & Kelsey, "The monoids of
+    orders eight, nine & ten", 2009). The search branches only on a cell
+    that is not yet filled. A partial table T is dropped as soon as a law an
+    inverse monoid keeps fails on its filled cells: associativity or unique
+    inverses (some x has two settled inverses, or every y is ruled out).
+    Both survive a relabelling pi, so T is also dropped as soon as pi(T) is
+    smaller than T at the first cell where the two differ (lex-leader
+    pruning, same paper), compared in row-major order whether a cell was
+    chosen or forced. An associative table with unique inverses is an
+    inverse monoid, so the search completes no other table. Its idempotents
+    commute, so they are not checked on partial tables: such a check was
+    measured to reject none for n <= 7."""
     t = [[-1] * n for _ in range(n)]
     for j in range(n):
         t[0][j] = j
@@ -363,30 +368,57 @@ def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
     # vals[d]: the value of cells[d], for the filled depths.
     vals = [-1] * len(cells)
 
-    def consistent(i: int, j: int) -> bool:
-        v = t[i][j]
-        ti, tj, tv = t[i], t[j], t[v]
-        # Associativity instances (xy)z = x(yz) in which cell (i,j) takes part
-        # and whose other cells are filled; those with a factor 0 hold by the
-        # identity row and column.
-        for z in rest:
-            jz = tj[z]
-            if tv[z] >= 0 and jz >= 0 and ti[jz] >= 0 and tv[z] != ti[jz]:
+    def put(i: int, j: int, v: int, trail: list) -> None:
+        t[i][j] = vals[depth_of[i, j]] = v
+        at[v].append((i, j))
+        trail.append((i, j))
+
+    def settle(trail: list) -> bool:
+        """Check each cell on trail in turn, including the cells this puts on
+        it. An associativity instance (xy)z = x(yz) that the cell takes part
+        in fails if both sides are filled and differ; if one side reads a
+        cell not yet filled, that cell is filled with the other side's value
+        and put on trail. Then the cell's row and column elements get the
+        unique-inverse check. False as soon as a check fails. Instances with
+        a factor 0 hold by the identity row and column."""
+        for i, j in trail:
+            v = t[i][j]
+            ti, tj, tv = t[i], t[j], t[v]
+            for z in rest:
+                jz = tj[z]
+                if jz >= 0 and tv[z] != ti[jz]:
+                    if ti[jz] < 0:
+                        put(i, jz, tv[z], trail)
+                    elif tv[z] < 0:
+                        put(v, z, ti[jz], trail)
+                    else:
+                        return False
+            for x in rest:
+                tx = t[x]
+                xi = tx[i]
+                if xi >= 0 and t[xi][j] != tx[v]:
+                    if tx[v] < 0:
+                        put(x, v, t[xi][j], trail)
+                    elif t[xi][j] < 0:
+                        put(xi, j, tx[v], trail)
+                    else:
+                        return False
+            for x, y in at[i]:
+                yj = t[y][j]
+                if yj >= 0 and t[x][yj] != v:
+                    if t[x][yj] >= 0:
+                        return False
+                    put(x, yj, v, trail)
+            for y, z in at[j]:
+                iy = ti[y]
+                if iy >= 0 and t[iy][z] != v:
+                    if t[iy][z] >= 0:
+                        return False
+                    put(iy, z, v, trail)
+            # Every pair x, y whose inverse status reads cell (i,j) has i or j in it.
+            if not (invertible(i) and (j == i or invertible(j))):
                 return False
-        for x in rest:
-            xi = t[x][i]
-            if xi >= 0 and t[xi][j] >= 0 and t[x][v] >= 0 and t[xi][j] != t[x][v]:
-                return False
-        for x, y in at[i]:
-            yj = t[y][j]
-            if yj >= 0 and t[x][yj] >= 0 and t[x][yj] != v:
-                return False
-        for y, z in at[j]:
-            iy = ti[y]
-            if iy >= 0 and t[iy][z] >= 0 and t[iy][z] != v:
-                return False
-        # Every pair x, y whose inverse status reads cell (i,j) has i or j in it.
-        return invertible(i) and (j == i or invertible(j))
+        return True
 
     def invertible(x: int) -> bool:
         """False if the filled cells already give x two inverses y (x·y·x = x
@@ -443,17 +475,27 @@ def _monoid_tables(n: int) -> Iterator[list[list[int]]]:
                 yield [row[:] for row in t]
             return
         i, j = cells[depth]
+        if t[i][j] >= 0:
+            # Forced, and checked when it was filled.
+            moved = leader(depth)
+            if moved is not None:
+                yield from fill(depth + 1)
+                for d in moved:
+                    waiting[d].pop()
+            return
         for v in range(n):
             t[i][j] = v
             vals[depth] = v
             at[v].append((i, j))
-            if consistent(i, j):
+            trail = [(i, j)]
+            if settle(trail):
                 moved = leader(depth)
                 if moved is not None:
                     yield from fill(depth + 1)
                     for d in moved:
                         waiting[d].pop()
-            at[v].pop()
-        t[i][j] = -1
+            for x, y in reversed(trail):
+                at[t[x][y]].pop()
+                t[x][y] = -1
 
     yield from fill(0)

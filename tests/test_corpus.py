@@ -42,7 +42,7 @@ def test_builtin_tables_validate():
         m = validate_inverse(inst.table)
         if is_group(m.base):
             kind = "group"
-        elif all(m.base.is_idempotent(x) for x in range(m.n)):
+        elif all(m.base.table[x][x] == x for x in range(m.n)):
             validate_semilattice(m.base)
             kind = "semilattice"
         else:
@@ -352,20 +352,24 @@ def test_inverse_monoid_counts():
     assert by_size == {1: 1, 2: 2, 3: 4, 4: 11}
 
 
-def test_hierarchy_counts_up_to_six():
+def test_hierarchy_counts_up_to_seven():
     # The README's note on m7. F-inverse implies E-unitary, so equal counts
-    # mean every E-unitary class is F-inverse, and Clifford too.
-    counts = {key: [0] * 6 for key in ("inverse", "e_unitary", "f_inverse",
-                                       "f_inverse_clifford")}
-    for m in enumerate_inverse_monoids(6):
+    # mean every E-unitary class is F-inverse, and Clifford too. Order 7 is
+    # the first where they differ: m7 and one Clifford monoid are E-unitary
+    # but not F-inverse.
+    counts = {key: [0] * 7 for key in ("inverse", "e_unitary", "f_inverse",
+                                       "clifford", "f_inverse_clifford")}
+    for m in enumerate_inverse_monoids(7):
         counts["inverse"][m.n - 1] += 1
         counts["e_unitary"][m.n - 1] += m.e_unitary.holds
         counts["f_inverse"][m.n - 1] += m.f_inverse.holds
+        counts["clifford"][m.n - 1] += m.clifford.holds
         counts["f_inverse_clifford"][m.n - 1] += m.f_inverse.holds and m.clifford.holds
-    assert counts == {"inverse": [1, 2, 4, 11, 27, 89],
-                      "e_unitary": [1, 2, 3, 7, 12, 33],
-                      "f_inverse": [1, 2, 3, 7, 12, 33],
-                      "f_inverse_clifford": [1, 2, 3, 7, 12, 33]}
+    assert counts == {"inverse": [1, 2, 4, 11, 27, 89, 310],
+                      "e_unitary": [1, 2, 3, 7, 12, 33, 93],
+                      "f_inverse": [1, 2, 3, 7, 12, 33, 91],
+                      "clifford": [1, 2, 4, 11, 27, 88, 302],
+                      "f_inverse_clifford": [1, 2, 3, 7, 12, 33, 91]}
 
 
 def test_enumerations_are_deterministic():

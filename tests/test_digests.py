@@ -7,13 +7,14 @@ recorded before Gl(f) was built through F(Y,G); the ``enumerate`` digests
 were recorded before the canonical table refined colours, the one of the
 semilattices to n = 7 before they were grown by adding an atom, the one of the
 semilattices to n = 8 before their least strict order was found by
-refinement, and the one of the inverse monoids to n = 6 before their search
-kept only the least table of each class; the human-format ``suite`` digest was
-recorded before each grid Gl(f) shared the object of its equal F(Y,G). Any
-change to the bytes of ``check --json`` (via ``emit_report``), or to the exit
-code and stdout of ``extension --json``, ``decompose --json``, ``construct
-gluing --json``, the five pinned ``enumerate --json`` runs or the human-format
-``suite`` run, shows up here.
+refinement, the one of the inverse monoids to n = 6 before their search kept
+only the least table of each class, and the one of the inverse monoids to
+n = 7 before their search filled the cells that associativity forces; the
+human-format ``suite`` digest was recorded before each grid Gl(f) shared the
+object of its equal F(Y,G). Any change to the bytes of ``check --json`` (via
+``emit_report``), or to the exit code and stdout of ``extension --json``,
+``decompose --json``, ``construct gluing --json``, the six pinned
+``enumerate --json`` runs or the human-format ``suite`` run, shows up here.
 """
 
 import contextlib
@@ -310,6 +311,19 @@ def test_enumerate_inverse_monoids_to_six_bytes_unchanged():
     code, out = _cli_run(["enumerate", "--kind", "inverse-monoid", "--max-n", "6",
                           "--force-bound", "--json"])
     assert (_sha(f"{code}\n{out}"), _sha(out)) == INVERSE_MONOIDS_TO_SIX_EXPECTED
+
+
+# (exit code plus stdout, stdout alone) of the inverse monoids to n = 7,
+# recorded while the search filled only the cells it branched on.
+INVERSE_MONOIDS_TO_SEVEN_EXPECTED = (
+    "a8cb54820db6fd459f1846e51fd51396509b2e618d363061a1cc1eb6549576c9",
+    "639e36a9eafd8fa8946e5afe0694620a8d27a102009dded842064d2fd8876119")
+
+
+def test_enumerate_inverse_monoids_to_seven_bytes_unchanged():
+    code, out = _cli_run(["enumerate", "--kind", "inverse-monoid", "--max-n", "7",
+                          "--force-bound", "--json"])
+    assert (_sha(f"{code}\n{out}"), _sha(out)) == INVERSE_MONOIDS_TO_SEVEN_EXPECTED
 
 
 # Exit code and stdout digest of ``imw suite`` in human format; its ``--json``

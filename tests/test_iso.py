@@ -193,7 +193,7 @@ def _element_profile_by_mul(m, x):
         seen[p] = k
     geninv = sum(1 for y in range(m.n)
                  if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y)
-    return (m.is_idempotent(x), index, period, geninv)
+    return (m.table[x][x] == x, index, period, geninv)
 
 
 def test_element_profile_matches_its_definition(corpus_monoids):
